@@ -7,9 +7,9 @@
 //
 // --smoke shrinks the graphs and repeats so the binary finishes in a few
 // seconds; CI runs it as an executable smoke test. --json writes the
-// machine-readable per-case report (median/best ns) — `--smoke --json
-// BENCH_PR4.json` at the repo root is the committed perf-trajectory
-// baseline that CI diffs fresh runs against.
+// machine-readable per-case report (median/best ns); CI merges the
+// `--smoke --json` reports of the perf benches and diffs them against
+// the committed `BENCH_PR9.json` baseline at the repo root.
 #include <cstdio>
 #include <cstdlib>
 #include <string>

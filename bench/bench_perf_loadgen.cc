@@ -124,10 +124,20 @@ std::vector<std::string> SampleQueries(const BipartiteGraph& graph,
   return queries;
 }
 
+// Value of one exposition sample ("<series> <value>" on its own line),
+// or -1 when the daemon did not expose the series.
+double SampleValue(const std::string& metrics_text,
+                   const std::string& series) {
+  size_t at = metrics_text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(metrics_text.c_str() + at + series.size() + 2, nullptr);
+}
+
 // Cold/warm round-trip against the BenchWorld "lazy" tenant: a query no
 // load connection touched must be answered (computed on the spot), the
-// repeat must match it, and the daemon's STATS text must show the row
-// cache working. Returns 0 on success.
+// repeat must match it, and the daemon's metrics must show the cold
+// admission, the computed row, and the row-cache hit. Returns 0 on
+// success.
 int VerifyOnDemand(const std::string& host, uint16_t port,
                    const BipartiteGraph& graph_a) {
   loadgen::Client client;
@@ -149,21 +159,17 @@ int VerifyOnDemand(const std::string& host, uint16_t port,
     std::fprintf(stderr, "warm repeat did not match the cold answer\n");
     return 1;
   }
-  if (!client.SendStats(9003).ok()) return 1;
-  Result<loadgen::Reply> stats = client.ReadReply();
-  if (!stats.ok()) return 1;
-  for (const char* needle :
-       {"on_demand=1", "rows_computed=", "cold_admitted="}) {
-    if (stats->text.find(needle) == std::string::npos) {
-      std::fprintf(stderr, "STATS text is missing \"%s\":\n%s\n", needle,
-                   stats->text.c_str());
+  Result<std::string> text = loadgen::FetchMetricsText(host, port);
+  if (!text.ok()) return 1;
+  for (const char* family : {"srpp_cold_requests_total",
+                             "srpp_rows_computed_total",
+                             "srpp_row_cache_hits_total"}) {
+    std::string series = std::string(family) + "{tenant=\"lazy\"}";
+    if (SampleValue(*text, series) < 1.0) {
+      std::fprintf(stderr, "expected %s >= 1:\n%s\n", series.c_str(),
+                   text->c_str());
       return 1;
     }
-  }
-  if (stats->text.find("cache_hits=0 ") != std::string::npos) {
-    std::fprintf(stderr, "expected at least one row-cache hit:\n%s\n",
-                 stats->text.c_str());
-    return 1;
   }
   std::printf("on-demand tenant verified: cold answered, repeat hit the "
               "row cache\n");
@@ -320,11 +326,13 @@ int Main(int argc, char** argv) {
       stages_before, ScrapeStageSamples(base.host, base.port));
   std::printf("%s", stages.ToString().c_str());
 
-  DaemonMetrics metrics = (*daemon)->Metrics();
-  std::printf("daemon: admitted=%llu batches=%llu max_batch=%llu\n",
-              static_cast<unsigned long long>(metrics.requests_admitted),
-              static_cast<unsigned long long>(metrics.batches_executed),
-              static_cast<unsigned long long>(metrics.max_batch_size));
+  MetricsSnapshot metrics = (*daemon)->metrics_registry().Snapshot();
+  double batches = metrics.Total("srpp_batches_total");
+  std::printf("daemon: admitted=%.0f batches=%.0f mean_batch=%.1f\n",
+              metrics.Total("srpp_requests_total", {{"code", "ok"}}), batches,
+              batches > 0.0
+                  ? metrics.Total("srpp_served_requests_total") / batches
+                  : 0.0);
   (*daemon)->RequestShutdown();
   int exit_code = (*daemon)->Wait();
   if (exit_code != 0) {

@@ -13,9 +13,9 @@
 #include <thread>
 #include <unordered_map>
 
-#include "util/histogram.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/summary_stats.h"
 #include "util/thread_annotations.h"
 
 namespace simrankpp::loadgen {
@@ -110,13 +110,6 @@ Status Client::SendPing(uint32_t request_id) {
   return SendBytes(frame);
 }
 
-Status Client::SendStats(uint32_t request_id) {
-  std::string frame;
-  AppendEmptyFrame(FrameType::kStatsRequest, WireCode::kOk, request_id,
-                   &frame);
-  return SendBytes(frame);
-}
-
 Status Client::SendReload(uint32_t request_id) {
   std::string frame;
   AppendEmptyFrame(FrameType::kReloadRequest, WireCode::kOk, request_id,
@@ -153,7 +146,6 @@ Result<Reply> Client::ReadReply() {
         case FrameType::kPingResponse:
           parsed = payload.empty();
           break;
-        case FrameType::kStatsResponse:
         case FrameType::kReloadResponse:
         case FrameType::kMetricsResponse:
         case FrameType::kError:

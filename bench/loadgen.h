@@ -31,7 +31,7 @@ struct Reply {
   uint32_t request_id = 0;
   /// Filled for kTopKResponse.
   std::vector<TopKItem> items;
-  /// Filled for text-payload frames (stats/reload responses, errors).
+  /// Filled for text-payload frames (metrics/reload responses, errors).
   std::string text;
 
   bool ok() const { return code == WireCode::kOk; }
@@ -57,7 +57,6 @@ class Client {
   Status SendTopK(const std::string& tenant, const std::string& query,
                   uint16_t k, uint32_t request_id);
   Status SendPing(uint32_t request_id);
-  Status SendStats(uint32_t request_id);
   Status SendReload(uint32_t request_id);
   /// \brief Requests the Prometheus text exposition (kMetricsRequest).
   Status SendMetrics(uint32_t request_id);

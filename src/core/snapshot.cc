@@ -18,10 +18,8 @@ namespace {
 constexpr char kMagic[8] = {'S', 'R', 'P', 'P', 'S', 'I', 'M', '\0'};
 constexpr size_t kMagicBytes = sizeof(kMagic);
 constexpr size_t kChecksumBytes = 8;
-// Version 2: magic + version + side + name_len (the name itself follows).
-// Version 1 had no side field, so its smallest valid file is 4 bytes
-// shorter — the minimum-size check below uses the v1 prefix.
-constexpr size_t kFixedPrefixBytesV1 = kMagicBytes + 4 + 4;
+// Magic + version + side + name_len (the name itself follows).
+constexpr size_t kFixedPrefixBytes = kMagicBytes + 4 + 4 + 4;
 constexpr size_t kPairRecordBytes = 4 + 4 + 8;
 // Records per serialization chunk: big enough that chunk bookkeeping is
 // noise, small enough that the encode pass parallelizes on mid-sized
@@ -150,7 +148,7 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 // reader is positioned at the first pair record.
 Result<SnapshotInfo> ParseHeader(const std::string& content,
                                  const std::string& path, Reader* reader) {
-  if (content.size() < kFixedPrefixBytesV1 + kChecksumBytes) {
+  if (content.size() < kFixedPrefixBytes + kChecksumBytes) {
     return Status::InvalidArgument(StringPrintf(
         "snapshot %s is truncated: %zu bytes is smaller than the smallest "
         "valid snapshot",
@@ -179,26 +177,18 @@ Result<SnapshotInfo> ParseHeader(const std::string& content,
   info.checksum = expected;
   reader->ReadBytes(kMagicBytes);  // magic, already checked
   info.version = reader->ReadU32();
-  if (info.version < kSnapshotMinReadVersion ||
-      info.version > kSnapshotFormatVersion) {
+  if (info.version != kSnapshotFormatVersion) {
     return Status::InvalidArgument(StringPrintf(
-        "snapshot %s has format version %u; this build reads versions "
-        "%u..%u",
-        path.c_str(), info.version, kSnapshotMinReadVersion,
-        kSnapshotFormatVersion));
+        "snapshot %s has format version %u; this build reads only "
+        "version %u",
+        path.c_str(), info.version, kSnapshotFormatVersion));
   }
-  if (info.version >= 2) {
-    uint32_t side = reader->ReadU32();
-    if (side > static_cast<uint32_t>(SnapshotSide::kAdAd)) {
-      return Status::InvalidArgument(StringPrintf(
-          "snapshot %s is corrupt: unknown side tag %u", path.c_str(),
-          side));
-    }
-    info.side = static_cast<SnapshotSide>(side);
-  } else {
-    // Version 1 predates the side tag; those files are query-query.
-    info.side = SnapshotSide::kQueryQuery;
+  uint32_t side = reader->ReadU32();
+  if (side > static_cast<uint32_t>(SnapshotSide::kAdAd)) {
+    return Status::InvalidArgument(StringPrintf(
+        "snapshot %s is corrupt: unknown side tag %u", path.c_str(), side));
   }
+  info.side = static_cast<SnapshotSide>(side);
   uint32_t name_bytes = reader->ReadU32();
   info.method_name = reader->ReadBytes(name_bytes);
   info.num_nodes = reader->ReadU64();
@@ -285,7 +275,7 @@ std::string SerializeSnapshot(const SimilarityMatrix& matrix,
   }
 
   std::string buffer;
-  buffer.reserve(kFixedPrefixBytesV1 + 4 + method_name.size() + 16 +
+  buffer.reserve(kFixedPrefixBytes + method_name.size() + 16 +
                  pairs.size() * kPairRecordBytes + kChecksumBytes);
   buffer.append(kMagic, kMagicBytes);
   AppendU32(&buffer, kSnapshotFormatVersion);

@@ -7,9 +7,8 @@
 /// RewriteService without re-running any engine. The format is versioned,
 /// checksummed, and byte-deterministic — the same matrix always serializes
 /// to the same bytes, and a round trip reproduces every score
-/// bit-for-bit. Version 2 adds a side tag so one file format carries both
-/// query–query and ad–ad scores; version-1 files (always query–query)
-/// still load. See docs/SNAPSHOT_FORMAT.md for the exact layout.
+/// bit-for-bit. A side tag lets one file format carry both query–query
+/// and ad–ad scores. See docs/SNAPSHOT_FORMAT.md for the exact layout.
 #ifndef SIMRANKPP_CORE_SNAPSHOT_H_
 #define SIMRANKPP_CORE_SNAPSHOT_H_
 
@@ -21,14 +20,9 @@
 
 namespace simrankpp {
 
-/// \brief Current writer version. Readers accept this version and the
-/// compatibility window back to kSnapshotMinReadVersion; anything else is
-/// rejected with a clear error naming both versions.
+/// \brief The format version writers emit and readers accept; any other
+/// version is rejected with an error naming both versions.
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
-
-/// \brief Oldest version readers still decode (version 1 predates the
-/// side tag; such files are query–query by definition).
-inline constexpr uint32_t kSnapshotMinReadVersion = 1;
 
 /// \brief Which node set a similarity snapshot's scores range over. The
 /// serving layer uses the same tag to pick labels and text lookup

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <set>
@@ -127,32 +126,7 @@ class ServeDaemon::Impl {
     return reloaded;
   }
 
-  DaemonMetrics Metrics() const {
-    // A view over the registry: process-level families read directly,
-    // per-tenant families summed across tenants.
-    DaemonMetrics m;
-    m.connections_accepted = connections_accepted_->Value();
-    m.connections_refused = connections_refused_->Value();
-    m.frames_received = frames_received_->Value();
-    m.requests_draining = draining_daemon_->Value();
-    m.bad_frames = bad_frames_->Value();
-    m.bad_requests = bad_requests_->Value();
-    m.responses_sent = responses_sent_->Value();
-    m.max_batch_size = max_batch_size_.load();
-    m.reloads_applied = reloads_applied_->Value();
-    MutexLock lock(&states_mu_);
-    for (const auto& [name, state] : states_) {
-      m.requests_admitted += state->admitted->Value();
-      m.requests_shed += state->shed->Value();
-      m.requests_rate_limited += state->rate_limited->Value();
-      m.requests_draining += state->draining->Value();
-      m.batches_executed += state->batches->Value();
-    }
-    return m;
-  }
-
   const MetricsRegistry& metrics_registry() const { return metrics_; }
-  std::string MetricsText() const { return metrics_.PrometheusText(); }
   uint16_t metrics_port() const {
     return metrics_http_ == nullptr ? 0 : metrics_http_->port();
   }
@@ -196,7 +170,7 @@ class ServeDaemon::Impl {
   // Per-tenant admission + batching state. The bucket is event-loop-
   // private; the pending queue is shared with batch workers under mu;
   // the stats handles are registry children (lock-free increments) —
-  // the registry is the one source of truth, STATS renders from it.
+  // the registry is the one source of truth.
   struct TenantState {
     TenantState(const DaemonOptions& options, const std::string& tenant,
                 MetricsRegistry* metrics)
@@ -244,8 +218,6 @@ class ServeDaemon::Impl {
     Counter* batches = nullptr;
     HistogramMetric* queue_fill = nullptr;
     HistogramMetric* latency_seconds = nullptr;
-    // High-water mark, not a registry family (no unit; STATS-only).
-    std::atomic<uint64_t> max_batch{0};
 
     Mutex mu;
     std::vector<PendingRequest> pending SRPP_GUARDED_BY(mu);
@@ -256,8 +228,8 @@ class ServeDaemon::Impl {
   };
 
   // A finished response frame headed back to (fd, serial). TopK
-  // completions carry their trace; the flush span is closed and the
-  // trace recorded on the I/O thread once the bytes head out.
+  // completions carry their trace; the I/O thread closes the flush span
+  // and records the trace just before the bytes are handed to send().
   struct Completion {
     int fd = -1;
     uint64_t serial = 0;
@@ -283,7 +255,6 @@ class ServeDaemon::Impl {
   void BeginDrain();
   bool DrainComplete();
   void DrainOutbox();
-  std::string StatsText();
 
   // ----- worker side ---------------------------------------------------
 
@@ -359,7 +330,7 @@ class ServeDaemon::Impl {
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   uint64_t next_serial_ = 1;
 
-  mutable Mutex states_mu_;
+  Mutex states_mu_;
   // Values are stable pointers: a TenantState is never destroyed while
   // the daemon runs, so holding states_mu_ is only required for the map
   // itself, not for using a looked-up TenantState (which has its own mu).
@@ -389,7 +360,6 @@ class ServeDaemon::Impl {
   // Unknown-tenant refusals, collapsed to one child so hostile tenant
   // names cannot grow label cardinality.
   Counter* unknown_tenant_ = nullptr;
-  std::atomic<uint64_t> max_batch_size_{0};
 
   friend class ServeDaemon;
 };
@@ -447,7 +417,8 @@ Status ServeDaemon::Impl::Boot() {
   if (!loaded.ok()) {
     // An unreadable/unparsable manifest loads nothing — fatal either
     // way. Per-tenant failures are fatal only under require_all_tenants;
-    // otherwise the loaded tenants serve and STATS carries the failures.
+    // otherwise the loaded tenants serve and srpp_tenant_info carries
+    // the failures (each one was also logged at WARN).
     if (options_.require_all_tenants || registry_->size() == 0) {
       return loaded;
     }
@@ -581,10 +552,10 @@ void ServeDaemon::Impl::RegisterTenantCollector() {
       MetricPoint identity;
       identity.labels = {
           {"tenant", stats.tenant},
-          {"method", stats.method_name},
+          {"method", stats.service.method_name},
           {"scoring", !stats.serving ? "none"
-                      : stats.on_demand ? "on-demand"
-                                        : "precomputed"},
+                      : stats.service.on_demand ? "on-demand"
+                                                : "precomputed"},
           {"generation", StringPrintf("%llu", static_cast<unsigned long long>(
                                                   stats.generation))},
           {"reload", stats.last_reload_ok ? "ok" : "failed"},
@@ -593,18 +564,18 @@ void ServeDaemon::Impl::RegisterTenantCollector() {
       info.points.push_back(std::move(identity));
       if (!stats.serving) continue;
       add(&queries, static_cast<double>(stats.queries_served));
-      if (stats.on_demand) {
-        add(&rows, static_cast<double>(stats.rows_computed));
-        add(&hits, static_cast<double>(stats.row_cache_hits));
-        add(&misses, static_cast<double>(stats.row_cache_misses));
-        add(&evictions, static_cast<double>(stats.row_cache_evictions));
+      const RewriteServiceStats& service = stats.service;
+      if (service.on_demand) {
+        add(&rows, static_cast<double>(service.rows_computed));
+        add(&hits, static_cast<double>(service.row_cache_hits));
+        add(&misses, static_cast<double>(service.row_cache_misses));
+        add(&evictions, static_cast<double>(service.row_cache_evictions));
       }
-      if (stats.engine_stats.iterations_run > 0) {
-        add(&iterations,
-            static_cast<double>(stats.engine_stats.iterations_run));
-        add(&rescored,
-            static_cast<double>(stats.engine_stats.rescored_pairs));
-        add(&reused, static_cast<double>(stats.engine_stats.reused_pairs));
+      const SimRankStats& engine = service.engine_stats;
+      if (engine.iterations_run > 0) {
+        add(&iterations, static_cast<double>(engine.iterations_run));
+        add(&rescored, static_cast<double>(engine.rescored_pairs));
+        add(&reused, static_cast<double>(engine.reused_pairs));
       }
     }
     for (MetricFamilySnapshot* family :
@@ -785,14 +756,6 @@ void ServeDaemon::Impl::HandleFrame(Connection* conn,
       std::string out;
       AppendEmptyFrame(FrameType::kPingResponse, WireCode::kOk,
                        header.request_id, &out);
-      responses_sent_->Increment();
-      AppendOutput(conn, std::move(out));
-      return;
-    }
-    case FrameType::kStatsRequest: {
-      std::string out;
-      AppendTextFrame(FrameType::kStatsResponse, WireCode::kOk,
-                      header.request_id, StatsText(), &out);
       responses_sent_->Increment();
       AppendOutput(conn, std::move(out));
       return;
@@ -1026,95 +989,22 @@ void ServeDaemon::Impl::DrainOutbox() {
     items.swap(outbox_);
   }
   for (Completion& item : items) {
-    auto it = connections_.find(item.fd);
-    bool live =
-        it != connections_.end() && it->second->serial == item.serial;
-    if (live) {
-      AppendOutput(it->second.get(), std::move(item.bytes));
-    }
-    // Close the flush span and record, delivered or not — the request
-    // was scored either way. AppendOutput may have destroyed the
-    // connection on a hard socket error; the trace is ours regardless.
+    // Close the flush span and record BEFORE the bytes reach send():
+    // once a client can read its reply, RecentTraces(), the ring and
+    // srpp_slow_requests_total already include that request. Recorded
+    // whether or not the connection is still live — the request was
+    // scored either way.
     if (item.trace.has_value()) {
       RequestTrace& trace = *item.trace;
       double scored_end = trace.start_seconds + trace.total_seconds();
       trace.SetStage(TraceStage::kFlush, NowSeconds() - scored_end);
       tracer_->Record(trace);
     }
-  }
-}
-
-std::string ServeDaemon::Impl::StatsText() {
-  DaemonMetrics m = Metrics();
-  std::string text = StringPrintf(
-      "serve-daemon simd=%s draining=%d connections=%zu accepted=%llu refused=%llu "
-      "frames=%llu admitted=%llu shed=%llu rate_limited=%llu draining_refused=%llu "
-      "bad_frames=%llu bad_requests=%llu responses=%llu batches=%llu "
-      "max_batch=%llu reloads=%llu\n",
-      simd::SimdLevelName(simd::ActiveSimdLevel()),
-      draining_.load() ? 1 : 0, connections_.size(),
-      static_cast<unsigned long long>(m.connections_accepted),
-      static_cast<unsigned long long>(m.connections_refused),
-      static_cast<unsigned long long>(m.frames_received),
-      static_cast<unsigned long long>(m.requests_admitted),
-      static_cast<unsigned long long>(m.requests_shed),
-      static_cast<unsigned long long>(m.requests_rate_limited),
-      static_cast<unsigned long long>(m.requests_draining),
-      static_cast<unsigned long long>(m.bad_frames),
-      static_cast<unsigned long long>(m.bad_requests),
-      static_cast<unsigned long long>(m.responses_sent),
-      static_cast<unsigned long long>(m.batches_executed),
-      static_cast<unsigned long long>(m.max_batch_size),
-      static_cast<unsigned long long>(m.reloads_applied));
-  for (const TenantServeStats& tenant_stats : registry_->Stats()) {
-    text += tenant_stats.ToString();
-    text += '\n';
-    TenantState* state = GetOrCreateState(tenant_stats.tenant);
-    // The bucket is event-loop-private state; StatsText runs on the I/O
-    // thread (kStatsRequest is handled inline), so reading it here honors
-    // the single-owner contract.
-    double bucket_fill = state->bucket.unlimited()
-                             ? -1.0
-                             : state->bucket.AvailableAt(NowSeconds());
-    // Counter/histogram lines render from the registry children — STATS
-    // is a view over the same cells /metrics scrapes, not a second set
-    // of books.
-    text += StringPrintf(
-        "  admission: admitted=%llu cold_admitted=%llu shed=%llu "
-        "rate_limited=%llu served=%llu batches=%llu max_batch=%llu\n",
-        static_cast<unsigned long long>(state->admitted->Value()),
-        static_cast<unsigned long long>(state->cold_admitted->Value()),
-        static_cast<unsigned long long>(state->shed->Value()),
-        static_cast<unsigned long long>(state->rate_limited->Value()),
-        static_cast<unsigned long long>(state->served->Value()),
-        static_cast<unsigned long long>(state->batches->Value()),
-        static_cast<unsigned long long>(state->max_batch.load()));
-    {
-      MutexLock lock(&state->mu);
-      // Instantaneous admission snapshot: current queue depth and billed
-      // cost, plus token-bucket fill (-1 = unlimited, no bucket in play).
-      text += StringPrintf("  queue: depth=%zu cost=%zu bucket_fill=%.2f\n",
-                           state->pending.size(), state->pending_cost,
-                           bucket_fill);
+    auto it = connections_.find(item.fd);
+    if (it != connections_.end() && it->second->serial == item.serial) {
+      AppendOutput(it->second.get(), std::move(item.bytes));
     }
-    HistogramSnapshot lat = state->latency_seconds->Snapshot();
-    text += StringPrintf(
-        "  latency_us: count=%llu mean=%.1f min=%.1f max=%.1f "
-        "p50=%.1f p90=%.1f p99=%.1f\n",
-        static_cast<unsigned long long>(lat.count), lat.mean() * 1e6,
-        lat.ApproxQuantile(0.0) * 1e6, lat.ApproxQuantile(1.0) * 1e6,
-        lat.ApproxQuantile(0.5) * 1e6, lat.ApproxQuantile(0.9) * 1e6,
-        lat.ApproxQuantile(0.99) * 1e6);
-    HistogramSnapshot fill = state->queue_fill->Snapshot();
-    const double capacity =
-        static_cast<double>(std::max<size_t>(1, options_.max_queue_per_tenant));
-    text += StringPrintf(
-        "  queue_depth: count=%llu mean=%.2f max=%.0f p99=%.1f\n",
-        static_cast<unsigned long long>(fill.count), fill.mean() * capacity,
-        fill.ApproxQuantile(1.0) * capacity,
-        fill.ApproxQuantile(0.99) * capacity);
   }
-  return text;
 }
 
 // ---------------------------------------------------------------------------
@@ -1249,15 +1139,6 @@ void ServeDaemon::Impl::RunBatch(std::string tenant_name,
   }
   state->served->Increment(batch.size());
   state->batches->Increment();
-  uint64_t tenant_observed = state->max_batch.load();
-  while (tenant_observed < batch.size() &&
-         !state->max_batch.compare_exchange_weak(tenant_observed,
-                                                 batch.size())) {
-  }
-  uint64_t observed = max_batch_size_.load();
-  while (observed < batch.size() &&
-         !max_batch_size_.compare_exchange_weak(observed, batch.size())) {
-  }
   responses_sent_->Increment(batch.size());
   PushCompletions(std::move(completions));
 
@@ -1419,13 +1300,9 @@ Result<std::vector<std::string>> ServeDaemon::PollNow() {
   return impl_->PollNow();
 }
 
-DaemonMetrics ServeDaemon::Metrics() const { return impl_->Metrics(); }
-
 const MetricsRegistry& ServeDaemon::metrics_registry() const {
   return impl_->metrics_registry();
 }
-
-std::string ServeDaemon::MetricsText() const { return impl_->MetricsText(); }
 
 uint16_t ServeDaemon::metrics_port() const { return impl_->metrics_port(); }
 

@@ -9,8 +9,9 @@
 /// bucket rate limit plus a bounded pending queue that sheds on overflow
 /// — and concurrent TopK requests for the same tenant are coalesced into
 /// TopKBatch micro-batches executed on the process-wide SharedThreadPool.
-/// Per-tenant latency and queue-depth histograms are served through the
-/// STATS request.
+/// Every counter and histogram the daemon keeps lives in its one
+/// MetricsRegistry (metrics_registry()): scraped over the metrics frame
+/// or GET /metrics, read in process through Snapshot().
 ///
 /// Hot reload: a watcher thread drives SnapshotStore::PollForChanges —
 /// woken by inotify on the manifest/snapshot directories when available,
@@ -37,7 +38,6 @@
 #include "serve/snapshot_store.h"
 #include "serve/tenant_registry.h"
 #include "serve/token_bucket.h"
-#include "util/histogram.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -78,8 +78,8 @@ struct DaemonOptions {
   /// Fallback poll cadence (and inotify debounce backstop), seconds.
   double watch_poll_seconds = 0.5;
   /// When true, Start fails unless every manifest tenant loads; when
-  /// false the daemon serves the tenants that did load (failures stay
-  /// visible in STATS).
+  /// false the daemon serves the tenants that did load (each failure is
+  /// logged at WARN and shows as reload="failed" in srpp_tenant_info).
   bool require_all_tenants = false;
   /// Test hook: sleep this long inside each micro-batch execution, so
   /// coalescing/shedding/drain windows are deterministic in tests.
@@ -94,24 +94,6 @@ struct DaemonOptions {
   double slow_request_seconds = 0.0;
   /// Capacity of the recent-trace ring served by RecentTraces().
   size_t trace_ring_capacity = 64;
-};
-
-/// \brief Point-in-time daemon counters (process-wide; per-tenant detail
-/// travels in the STATS response text).
-struct DaemonMetrics {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_refused = 0;
-  uint64_t frames_received = 0;
-  uint64_t requests_admitted = 0;
-  uint64_t requests_shed = 0;
-  uint64_t requests_rate_limited = 0;
-  uint64_t requests_draining = 0;
-  uint64_t bad_frames = 0;
-  uint64_t bad_requests = 0;
-  uint64_t responses_sent = 0;
-  uint64_t batches_executed = 0;
-  uint64_t max_batch_size = 0;
-  uint64_t reloads_applied = 0;
 };
 
 /// \brief A running serve daemon. Construction via Start() binds the
@@ -146,16 +128,11 @@ class ServeDaemon {
   /// is a RELOAD frame). Returns the tenants reloaded.
   Result<std::vector<std::string>> PollNow();
 
-  DaemonMetrics Metrics() const;
-
   /// \brief This daemon's metric families (one registry per daemon so
   /// tests running several daemons in one process see isolated counts).
-  /// Snapshot()/PrometheusText() are safe from any thread.
+  /// Snapshot()/PrometheusText() are safe from any thread; the latter is
+  /// the document GET /metrics and the kMetricsRequest frame serve.
   const MetricsRegistry& metrics_registry() const;
-
-  /// \brief Prometheus text exposition — the same bytes GET /metrics
-  /// and the kMetricsRequest frame serve.
-  std::string MetricsText() const;
 
   /// \brief Bound port of the metrics HTTP listener, 0 when disabled.
   uint16_t metrics_port() const;

@@ -35,17 +35,17 @@ inline constexpr uint32_t kMaxFramePayloadBytes = 1u << 20;
 inline constexpr uint16_t kMaxTopKPerRequest = 1000;
 
 /// \brief Frame types. Requests have the high bit clear; responses set
-/// it. kError answers any request type that failed.
+/// it. kError answers any request type that failed. 0x02/0x82 belonged
+/// to the retired STATS pair and must not be reused: the daemon answers
+/// 0x02 as an unknown type (kBadRequest).
 enum class FrameType : uint8_t {
   kTopKRequest = 0x01,
-  kStatsRequest = 0x02,
   kPingRequest = 0x03,
   kReloadRequest = 0x04,
   /// Pulls the same Prometheus text exposition as GET /metrics.
   kMetricsRequest = 0x05,
   kError = 0x7f,
   kTopKResponse = 0x81,
-  kStatsResponse = 0x82,
   kPingResponse = 0x83,
   kReloadResponse = 0x84,
   kMetricsResponse = 0x85,
@@ -139,13 +139,13 @@ void AppendTopKResponseFrame(uint32_t request_id,
 bool ParseTopKResponsePayload(std::string_view payload,
                               std::vector<TopKItem>* out);
 
-/// \brief Appends a payload-less frame (ping request/response, stats or
-/// reload request).
+/// \brief Appends a payload-less frame (ping request/response, metrics
+/// or reload request).
 void AppendEmptyFrame(FrameType type, WireCode code, uint32_t request_id,
                       std::string* out);
 
-/// \brief Appends a text-payload frame (stats/reload responses and every
-/// error response: u32 length + UTF-8 bytes).
+/// \brief Appends a text-payload frame (metrics/reload responses and
+/// every error response: u32 length + UTF-8 bytes).
 void AppendTextFrame(FrameType type, WireCode code, uint32_t request_id,
                      std::string_view text, std::string* out);
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/graph_io.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace simrankpp {
@@ -128,6 +129,12 @@ Status SnapshotStore::ApplyEntryLocked(const ManifestEntry& entry) {
   Result<std::shared_ptr<const Tenant>> tenant = BuildTenant(
       entry, registry_->Lookup(entry.tenant), reuse_assets);
   if (!tenant.ok()) {
+    // Loud as well as recorded: the log line is where an operator sees
+    // why, srpp_tenant_info{reload="failed"} only says that it failed.
+    SRPP_LOG(Warning) << "tenant " << entry.tenant
+                      << " failed to load (a previously published "
+                         "generation keeps serving): "
+                      << tenant.status().ToString();
     registry_->RecordReloadFailure(entry.tenant, tenant.status());
     // Remember the attempted snapshot so an unchanged broken file is not
     // retried by every poll — but keep the asset fingerprints of the

@@ -14,20 +14,21 @@ std::string TenantServeStats::ToString() const {
   std::string out = StringPrintf(
       "tenant=%s side=%s gen=%llu method=\"%s\" pairs=%zu served=%llu "
       "checksum=%016llx reload=%s",
-      tenant.c_str(), SnapshotSideName(side),
-      static_cast<unsigned long long>(generation), method_name.c_str(),
-      similarity_pairs, static_cast<unsigned long long>(queries_served),
-      static_cast<unsigned long long>(snapshot_checksum),
+      tenant.c_str(), SnapshotSideName(service.side),
+      static_cast<unsigned long long>(generation),
+      service.method_name.c_str(), service.similarity_pairs,
+      static_cast<unsigned long long>(queries_served),
+      static_cast<unsigned long long>(service.snapshot_checksum),
       last_reload_ok ? "ok" : "FAILED");
-  if (on_demand) {
+  if (service.on_demand) {
     out += StringPrintf(
         " on_demand=1 rows_computed=%llu cache_hits=%llu cache_misses=%llu"
         " cache_evictions=%llu cache_entries=%zu",
-        static_cast<unsigned long long>(rows_computed),
-        static_cast<unsigned long long>(row_cache_hits),
-        static_cast<unsigned long long>(row_cache_misses),
-        static_cast<unsigned long long>(row_cache_evictions),
-        row_cache_entries);
+        static_cast<unsigned long long>(service.rows_computed),
+        static_cast<unsigned long long>(service.row_cache_hits),
+        static_cast<unsigned long long>(service.row_cache_misses),
+        static_cast<unsigned long long>(service.row_cache_evictions),
+        service.row_cache_entries);
   }
   if (!last_reload_ok) {
     out += " last_error=\"" + last_reload_message + "\"";
@@ -76,23 +77,12 @@ std::vector<TenantServeStats> TenantRegistry::Stats() const {
     std::shared_ptr<const Tenant> tenant =
         slot->current.load(std::memory_order_acquire);
     if (tenant != nullptr) {
-      RewriteServiceStats service_stats = tenant->service->Stats();
       stats.serving = true;
-      stats.side = service_stats.side;
       stats.generation = tenant->generation;
-      stats.method_name = service_stats.method_name;
-      stats.similarity_pairs = service_stats.similarity_pairs;
-      stats.snapshot_checksum = service_stats.snapshot_checksum;
+      stats.service = tenant->service->Stats();
       stats.queries_served =
           slot->retired_served.load(std::memory_order_relaxed) +
-          service_stats.queries_served;
-      stats.on_demand = service_stats.on_demand;
-      stats.rows_computed = service_stats.rows_computed;
-      stats.row_cache_hits = service_stats.row_cache_hits;
-      stats.row_cache_misses = service_stats.row_cache_misses;
-      stats.row_cache_evictions = service_stats.row_cache_evictions;
-      stats.row_cache_entries = service_stats.row_cache_entries;
-      stats.engine_stats = service_stats.engine_stats;
+          stats.service.queries_served;
     }
     std::shared_ptr<const ReloadEvent> event =
         slot->last_reload.load(std::memory_order_acquire);

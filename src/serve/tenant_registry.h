@@ -54,38 +54,25 @@ struct Tenant {
   std::unique_ptr<const RewriteService> service;
 };
 
-/// \brief Point-in-time serving stats for one tenant (the ServeStats
-/// surface: request counts, reload generation, last-reload status).
+/// \brief Point-in-time serving stats for one tenant: the tenant-level
+/// facts (generation, cumulative served count, last-reload status) plus
+/// the serving generation's own RewriteServiceStats.
 struct TenantServeStats {
   std::string tenant;
   /// False when the tenant never loaded successfully (it then still
   /// appears here so its failure is observable).
   bool serving = false;
-  SnapshotSide side = SnapshotSide::kQueryQuery;
   uint64_t generation = 0;
-  std::string method_name;
-  size_t similarity_pairs = 0;
-  uint64_t snapshot_checksum = 0;
   /// Cumulative across generations. A retired generation's count is
   /// folded in once its last in-flight reader releases it, so nothing a
   /// reader served mid-swap is ever lost (a generation still pinned by a
   /// long batch is counted when that batch's reference drops).
   uint64_t queries_served = 0;
-  /// On-demand scoring surface (see RewriteServiceStats): whether the
-  /// tenant computes rows lazily, how many cold rows it has computed,
-  /// and the row-cache counters. All zero for precomputed tenants.
-  /// Per-generation, not folded like queries_served — a reload resets
-  /// them along with the cache itself.
-  bool on_demand = false;
-  uint64_t rows_computed = 0;
-  uint64_t row_cache_hits = 0;
-  uint64_t row_cache_misses = 0;
-  uint64_t row_cache_evictions = 0;
-  size_t row_cache_entries = 0;
-  /// Engine diagnostics for the serving generation (iterations run,
-  /// rescored/reused pairs); default-initialized when the scores came
-  /// from a snapshot. Surfaced per tenant by the metrics collector.
-  SimRankStats engine_stats;
+  /// The serving generation's stats (method, side, checksum, on-demand
+  /// row and row-cache counters, engine diagnostics); default when not
+  /// serving. Per-generation: service.queries_served and the row-cache
+  /// counters restart with each reload, unlike queries_served above.
+  RewriteServiceStats service;
   bool last_reload_ok = true;
   /// Failure Status text of the last (re)load attempt; empty when ok.
   std::string last_reload_message;

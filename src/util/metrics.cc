@@ -275,6 +275,23 @@ double MetricsSnapshot::Value(std::string_view name,
   return point == nullptr ? fallback : point->value;
 }
 
+double MetricsSnapshot::Total(std::string_view name,
+                              const MetricLabels& match) const {
+  double total = 0.0;
+  for (const MetricFamilySnapshot& family : families) {
+    if (family.name != name) continue;
+    for (const MetricPoint& point : family.points) {
+      bool matches = std::all_of(
+          match.begin(), match.end(), [&point](const auto& label) {
+            return std::find(point.labels.begin(), point.labels.end(),
+                             label) != point.labels.end();
+          });
+      if (matches) total += point.value;
+    }
+  }
+  return total;
+}
+
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------

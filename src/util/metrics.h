@@ -8,7 +8,7 @@
 ///      RMW on a cached handle — registration returns a stable pointer,
 ///      so serving code resolves its (family, labels) child once and
 ///      increments forever after without a lock or a map lookup.
-///   2. One source of truth. Everything a scraper, the STATS frame, or
+///   2. One source of truth. Everything a scraper, a test, the CLI, or
 ///      a bench report wants comes out of Snapshot(); surfaces render
 ///      from the snapshot instead of keeping parallel counters.
 ///   3. Objects that already own their counters (e.g. an immutable
@@ -160,6 +160,12 @@ struct MetricsSnapshot {
   /// \brief Find().value with a fallback for missing series.
   double Value(std::string_view name, const MetricLabels& labels = {},
                double fallback = 0.0) const;
+
+  /// \brief Sum of the values of every point in family `name` whose
+  /// labels include each (key, value) pair of `match` (an empty match
+  /// sums the whole family); 0 when nothing matches. Counter and gauge
+  /// families only: histogram points carry no value.
+  double Total(std::string_view name, const MetricLabels& match = {}) const;
 };
 
 /// \brief Registry of metric families. Registration (Get*) takes a

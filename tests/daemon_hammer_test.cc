@@ -239,10 +239,11 @@ TEST(DaemonHammerTest, ConcurrentLoadSurvivesHotReloads) {
   // Invariant 3: clean drain after the storm.
   daemon.RequestShutdown();
   EXPECT_EQ(started.value()->Wait(), 0);
-  DaemonMetrics metrics = daemon.Metrics();
-  EXPECT_EQ(metrics.requests_admitted,
-            matched_v1.load() + matched_v2.load() + served_b.load());
-  EXPECT_EQ(metrics.bad_frames, 0u);
+  MetricsSnapshot metrics = daemon.metrics_registry().Snapshot();
+  EXPECT_EQ(metrics.Total("srpp_requests_total", {{"code", "ok"}}),
+            static_cast<double>(matched_v1.load() + matched_v2.load() +
+                                served_b.load()));
+  EXPECT_EQ(metrics.Value("srpp_bad_frames_total"), 0.0);
 
   for (const std::string& path :
        {graph_a_path, graph_b_path, snap_a_path, snap_b_path,

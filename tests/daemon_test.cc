@@ -274,7 +274,7 @@ TEST(ServeDaemonTest, UnknownQueryServesEmptyOk) {
   EXPECT_TRUE(reply->items.empty());
 }
 
-TEST(ServeDaemonTest, PingAndStats) {
+TEST(ServeDaemonTest, PingAnswersAndRegistryCoversEveryTenant) {
   auto daemon = StartDaemon(World().Options());
   Client client = ConnectTo(*daemon);
   ASSERT_TRUE(client.SendPing(5).ok());
@@ -284,20 +284,29 @@ TEST(ServeDaemonTest, PingAndStats) {
   EXPECT_EQ(pong->request_id, 5u);
 
   ASSERT_TRUE(client.TopK("alpha", World().graph_a.query_label(0), 5, 6).ok());
-  ASSERT_TRUE(client.SendStats(7).ok());
-  Result<Reply> stats = client.ReadReply();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->type, FrameType::kStatsResponse);
-  EXPECT_NE(stats->text.find("serve-daemon"), std::string::npos);
-  EXPECT_NE(stats->text.find("alpha"), std::string::npos);
-  EXPECT_NE(stats->text.find("beta"), std::string::npos);
-  EXPECT_NE(stats->text.find("latency_us"), std::string::npos);
-  EXPECT_NE(stats->text.find("queue_depth"), std::string::npos);
-  // Instantaneous queue state and cold-admission counters are always
-  // present, precomputed tenants included.
-  EXPECT_NE(stats->text.find("cold_admitted="), std::string::npos);
-  EXPECT_NE(stats->text.find("queue: depth="), std::string::npos);
-  EXPECT_NE(stats->text.find("bucket_fill="), std::string::npos);
+  MetricsSnapshot snapshot = daemon->metrics_registry().Snapshot();
+  for (const char* tenant : {"alpha", "beta"}) {
+    MetricLabels only{{"tenant", tenant}};
+    // Identity, admission and latency series exist for every manifest
+    // tenant from boot on, precomputed ones included.
+    EXPECT_EQ(snapshot.Total("srpp_tenant_info", only), 1.0) << tenant;
+    ASSERT_NE(snapshot.Find("srpp_cold_requests_total", only), nullptr)
+        << tenant;
+    ASSERT_NE(snapshot.Find("srpp_tenant_latency_seconds", only), nullptr)
+        << tenant;
+    ASSERT_NE(snapshot.Find("srpp_queue_fill_ratio", only), nullptr)
+        << tenant;
+  }
+  // The one TopK: admitted warm, queued, answered, timed.
+  MetricLabels alpha{{"tenant", "alpha"}};
+  EXPECT_EQ(snapshot.Total("srpp_requests_total", alpha), 1.0);
+  EXPECT_EQ(snapshot.Value("srpp_cold_requests_total", alpha), 0.0);
+  EXPECT_EQ(snapshot.Value("srpp_served_requests_total", alpha), 1.0);
+  EXPECT_EQ(snapshot.Find("srpp_tenant_latency_seconds", alpha)
+                ->histogram->count,
+            1u);
+  EXPECT_EQ(
+      snapshot.Find("srpp_queue_fill_ratio", alpha)->histogram->count, 1u);
 }
 
 TEST(ServeDaemonTest, OnDemandTenantAnswersColdQueriesOverTcp) {
@@ -328,24 +337,17 @@ TEST(ServeDaemonTest, OnDemandTenantAnswersColdQueriesOverTcp) {
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->items, cold->items);
 
-  ASSERT_TRUE(client.SendStats(23).ok());
-  Result<Reply> stats = client.ReadReply();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->text.find("on_demand=1"), std::string::npos)
-      << stats->text;
-  EXPECT_NE(stats->text.find("rows_computed=1"), std::string::npos)
-      << stats->text;
+  MetricsSnapshot snapshot = daemon->metrics_registry().Snapshot();
+  MetricLabels lazy{{"tenant", "lazy"}};
+  EXPECT_EQ(snapshot.Total("srpp_tenant_info",
+                           {{"tenant", "lazy"}, {"scoring", "on-demand"}}),
+            1.0);
+  EXPECT_EQ(snapshot.Value("srpp_rows_computed_total", lazy), 1.0);
   // Two cache hits: the ExpectedItems call and the warm wire request.
-  EXPECT_NE(stats->text.find("cache_hits=2"), std::string::npos)
-      << stats->text;
-  EXPECT_NE(stats->text.find("cache_misses=1"), std::string::npos)
-      << stats->text;
+  EXPECT_EQ(snapshot.Value("srpp_row_cache_hits_total", lazy), 2.0);
+  EXPECT_EQ(snapshot.Value("srpp_row_cache_misses_total", lazy), 1.0);
   // Only the first wire request found the row absent at admission time.
-  EXPECT_NE(stats->text.find("cold_admitted=1"), std::string::npos)
-      << stats->text;
-  // Default options leave the token bucket unlimited.
-  EXPECT_NE(stats->text.find("bucket_fill=-1.00"), std::string::npos)
-      << stats->text;
+  EXPECT_EQ(snapshot.Value("srpp_cold_requests_total", lazy), 1.0);
   std::remove(manifest.c_str());
 }
 
@@ -393,7 +395,9 @@ TEST(ServeDaemonTest, RateLimitReturnsDedicatedCode) {
   }
   EXPECT_EQ(codes[WireCode::kOk], 2);
   EXPECT_EQ(codes[WireCode::kRateLimited], 2);
-  EXPECT_EQ(daemon->Metrics().requests_rate_limited, 2u);
+  EXPECT_EQ(daemon->metrics_registry().Snapshot().Total(
+                "srpp_requests_total", {{"code", "rate_limited"}}),
+            2.0);
 }
 
 TEST(ServeDaemonTest, FullQueueShedsWithOverloaded) {
@@ -420,7 +424,9 @@ TEST(ServeDaemonTest, FullQueueShedsWithOverloaded) {
   EXPECT_EQ(codes[1], WireCode::kOk);
   EXPECT_EQ(codes[2], WireCode::kOk);
   EXPECT_EQ(codes[3], WireCode::kOverloaded);
-  EXPECT_EQ(daemon->Metrics().requests_shed, 1u);
+  EXPECT_EQ(daemon->metrics_registry().Snapshot().Total(
+                "srpp_requests_total", {{"code", "shed"}}),
+            1.0);
 }
 
 TEST(ServeDaemonTest, ConcurrentRequestsCoalesceIntoBatches) {
@@ -444,9 +450,9 @@ TEST(ServeDaemonTest, ConcurrentRequestsCoalesceIntoBatches) {
     EXPECT_EQ(reply->code, WireCode::kOk);
     EXPECT_EQ(reply->items, expected);
   }
-  DaemonMetrics metrics = daemon->Metrics();
-  EXPECT_GE(metrics.max_batch_size, 2u);
-  EXPECT_LT(metrics.batches_executed, 5u);
+  MetricsSnapshot metrics = daemon->metrics_registry().Snapshot();
+  EXPECT_EQ(metrics.Total("srpp_served_requests_total"), 5.0);
+  EXPECT_LT(metrics.Total("srpp_batches_total"), 5.0);
 }
 
 TEST(ServeDaemonTest, MixedKValuesInOneBatchAnswerPerRequest) {
@@ -511,7 +517,9 @@ TEST(ServeDaemonTest, OversizedFrameHeaderIsRejected) {
   ASSERT_TRUE(error.ok());
   EXPECT_EQ(error->code, WireCode::kBadFrame);
   EXPECT_FALSE(client.ReadReply().ok());  // connection dropped
-  EXPECT_EQ(daemon->Metrics().bad_frames, 1u);
+  EXPECT_EQ(
+      daemon->metrics_registry().Snapshot().Value("srpp_bad_frames_total"),
+      1.0);
 }
 
 TEST(ServeDaemonTest, MalformedPayloadKeepsConnectionAlive) {
@@ -537,7 +545,9 @@ TEST(ServeDaemonTest, MalformedPayloadKeepsConnectionAlive) {
       client.TopK("alpha", World().graph_a.query_label(6), 5, 22);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->code, WireCode::kOk);
-  EXPECT_EQ(daemon->Metrics().bad_requests, 1u);
+  EXPECT_EQ(
+      daemon->metrics_registry().Snapshot().Value("srpp_bad_requests_total"),
+      1.0);
 }
 
 TEST(ServeDaemonTest, TruncatedFrameThenRestIsOneRequest) {
@@ -563,13 +573,23 @@ TEST(ServeDaemonTest, TruncatedFrameThenRestIsOneRequest) {
 TEST(ServeDaemonTest, UnknownFrameTypeIsBadRequest) {
   auto daemon = StartDaemon(World().Options());
   Client client = ConnectTo(*daemon);
-  std::string frame;
-  AppendEmptyFrame(static_cast<FrameType>(0x55), WireCode::kOk, 77, &frame);
-  ASSERT_TRUE(client.SendBytes(frame).ok());
-  Result<Reply> error = client.ReadReply();
-  ASSERT_TRUE(error.ok());
-  EXPECT_EQ(error->code, WireCode::kBadRequest);
-  EXPECT_EQ(error->request_id, 77u);
+  // 0x55 was never assigned; 0x02 is the retired STATS request.
+  for (uint8_t type : {0x55, 0x02}) {
+    std::string frame;
+    AppendEmptyFrame(static_cast<FrameType>(type), WireCode::kOk, type,
+                     &frame);
+    ASSERT_TRUE(client.SendBytes(frame).ok());
+    Result<Reply> error = client.ReadReply();
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->type, FrameType::kError);
+    EXPECT_EQ(error->code, WireCode::kBadRequest);
+    EXPECT_EQ(error->request_id, type);
+  }
+  // Framing stayed intact, so the connection keeps serving.
+  ASSERT_TRUE(client.SendPing(78).ok());
+  Result<Reply> pong = client.ReadReply();
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->type, FrameType::kPingResponse);
 }
 
 // -------------------------------------------------------------- reload
@@ -711,8 +731,9 @@ TEST(ServeDaemonTest, MetricsFrameServesPrometheusText) {
   // The collector bridges per-generation serving stats into the scrape.
   EXPECT_NE(reply->text.find("srpp_tenant_queries_total{tenant=\"alpha\"}"),
             std::string::npos);
-  // The frame and the in-process accessor render the same document shape.
-  EXPECT_NE(daemon->MetricsText().find("# TYPE srpp_requests_total counter"),
+  // The frame and the in-process registry render the same document shape.
+  EXPECT_NE(daemon->metrics_registry().PrometheusText().find(
+                "# TYPE srpp_requests_total counter"),
             std::string::npos);
 }
 
@@ -775,7 +796,7 @@ TEST(ServeDaemonTest, StageSpansTileTheRequestWallTime) {
   // The per-stage histograms and the total histogram are fed from the
   // same traces, so their sums must agree.
   std::map<std::string, loadgen::StageSample> stages =
-      loadgen::ParseStageSamples(daemon->MetricsText());
+      loadgen::ParseStageSamples(daemon->metrics_registry().PrometheusText());
   ASSERT_EQ(stages.size(), 5u);
   double stage_sum = 0.0;
   for (const auto& [stage, sample] : stages) stage_sum += sample.sum_seconds;
@@ -785,6 +806,43 @@ TEST(ServeDaemonTest, StageSpansTileTheRequestWallTime) {
   ASSERT_TRUE(total->histogram.has_value());
   EXPECT_NEAR(stage_sum, total->histogram->sum, 1e-9);
   EXPECT_NEAR(trace.total_seconds(), total->histogram->sum, 1e-9);
+}
+
+TEST(ServeDaemonTest, EveryReplyIsAccountedBeforeTheClientReadsIt) {
+  // Reply visible => trace and counters visible: each read below comes
+  // straight after its reply, with no polling.
+  auto daemon = StartDaemon(World().Options());
+  Client client = ConnectTo(*daemon);
+  MetricLabels alpha{{"tenant", "alpha"}};
+  constexpr uint32_t kRequests = 20;
+  for (uint32_t i = 1; i <= kRequests; ++i) {
+    Result<Reply> reply =
+        client.TopK("alpha", World().graph_a.query_label(i), 5, i);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply->ok());
+    EXPECT_EQ(daemon->RecentTraces().size(), i);
+    MetricsSnapshot snapshot = daemon->metrics_registry().Snapshot();
+    const MetricPoint* duration =
+        snapshot.Find("srpp_request_duration_seconds");
+    ASSERT_NE(duration, nullptr);
+    EXPECT_EQ(duration->histogram->count, i);
+    EXPECT_EQ(snapshot.Value("srpp_requests_total",
+                             {{"tenant", "alpha"}, {"code", "ok"}}),
+              i);
+    EXPECT_EQ(snapshot.Value("srpp_served_requests_total", alpha), i);
+    EXPECT_EQ(snapshot.Find("srpp_tenant_latency_seconds", alpha)
+                  ->histogram->count,
+              i);
+    EXPECT_EQ(snapshot.Value("srpp_responses_total"), i);
+  }
+  // An error reply is counted before it is written too.
+  Result<Reply> error = client.TopK("nope", "anything", 5, kRequests + 1);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, WireCode::kUnknownTenant);
+  MetricsSnapshot snapshot = daemon->metrics_registry().Snapshot();
+  EXPECT_EQ(snapshot.Total("srpp_requests_total", {{"code", "unknown_tenant"}}),
+            1.0);
+  EXPECT_EQ(snapshot.Value("srpp_responses_total"), kRequests + 1);
 }
 
 TEST(ServeDaemonTest, SlowRequestsAreCountedAndKeptInRing) {

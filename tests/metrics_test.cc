@@ -84,6 +84,33 @@ TEST(MetricsRegistryTest, LabeledChildrenAreDistinct) {
             -1.0);
 }
 
+TEST(MetricsRegistryTest, TotalSumsPointsWhoseLabelsIncludeMatch) {
+  MetricsRegistry registry;
+  auto requests = [&registry](const char* tenant, const char* code) {
+    return registry.GetCounter("srpp_requests_total", "Requests.",
+                               {{"tenant", tenant}, {"code", code}});
+  };
+  requests("a", "ok")->Increment(2);
+  requests("a", "shed")->Increment(5);
+  requests("b", "ok")->Increment(3);
+  registry.GetCounter("srpp_frames_total", "Frames.")->Increment(100);
+  MetricsSnapshot snapshot = registry.Snapshot();
+  // An empty match sums the whole family, and only that family.
+  EXPECT_EQ(snapshot.Total("srpp_requests_total"), 10.0);
+  // A partial match sums across the labels it leaves open...
+  EXPECT_EQ(snapshot.Total("srpp_requests_total", {{"code", "ok"}}), 5.0);
+  EXPECT_EQ(snapshot.Total("srpp_requests_total", {{"tenant", "a"}}), 7.0);
+  // ...and a full match, in either label order, is that one point.
+  EXPECT_EQ(snapshot.Total("srpp_requests_total",
+                           {{"code", "shed"}, {"tenant", "a"}}),
+            5.0);
+  // Nothing matching, or no such family, totals 0.
+  EXPECT_EQ(snapshot.Total("srpp_requests_total", {{"code", "draining"}}),
+            0.0);
+  EXPECT_EQ(snapshot.Total("srpp_requests_total", {{"region", "eu"}}), 0.0);
+  EXPECT_EQ(snapshot.Total("srpp_missing_total"), 0.0);
+}
+
 TEST(MetricsRegistryTest, GaugeHoldsLatestValue) {
   MetricsRegistry registry;
   Gauge* fill = registry.GetGauge("srpp_queue_fill_ratio", "Fill.");

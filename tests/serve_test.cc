@@ -592,10 +592,10 @@ TEST(SnapshotStoreTest, OnDemandTenantServesWithoutASnapshot) {
 
   std::vector<TenantServeStats> stats = registry.Stats();
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_TRUE(stats[0].on_demand);
-  EXPECT_EQ(stats[0].rows_computed, 1u);
-  EXPECT_EQ(stats[0].row_cache_misses, 1u);
-  EXPECT_EQ(stats[0].row_cache_hits, 1u);
+  EXPECT_TRUE(stats[0].service.on_demand);
+  EXPECT_EQ(stats[0].service.rows_computed, 1u);
+  EXPECT_EQ(stats[0].service.row_cache_misses, 1u);
+  EXPECT_EQ(stats[0].service.row_cache_hits, 1u);
   EXPECT_NE(stats[0].ToString().find("on_demand=1"), std::string::npos)
       << stats[0].ToString();
 }
@@ -766,8 +766,14 @@ TEST(SnapshotStoreTest, CorruptReplacementKeepsOldGenerationServing) {
   // without unpublishing anything.
   std::string intact = ReadAllBytes(world.snapshot_path);
   WriteAllBytes(world.snapshot_path, intact.substr(0, intact.size() / 2));
+  testing::internal::CaptureStderr();
   Status status = store.Reload("t");
+  std::string log = testing::internal::GetCapturedStderr();
   ASSERT_FALSE(status.ok());
+  // The failure is loud: one WARN line naming the tenant and the cause.
+  EXPECT_NE(log.find("[WARN "), std::string::npos) << log;
+  EXPECT_NE(log.find("tenant t failed to load"), std::string::npos) << log;
+  EXPECT_NE(log.find(status.ToString()), std::string::npos) << log;
 
   std::shared_ptr<const Tenant> after = registry.Lookup("t");
   ASSERT_NE(after, nullptr);

@@ -166,9 +166,9 @@ TEST_F(SnapshotTest, FutureVersionIsRejectedWithBothVersions) {
   Result<SimilaritySnapshot> loaded = LoadSnapshot(path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  // The message names the file's version and the supported window.
+  // The message names the file's version and the one this build reads.
   EXPECT_NE(loaded.status().message().find("version 3"), std::string::npos);
-  EXPECT_NE(loaded.status().message().find("versions 1..2"),
+  EXPECT_NE(loaded.status().message().find("reads only version 2"),
             std::string::npos);
 }
 
@@ -183,7 +183,7 @@ TEST_F(SnapshotTest, SideTagRoundTrips) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->side, SnapshotSide::kAdAd);
   EXPECT_EQ(info->version, kSnapshotFormatVersion);
-  // The default (and the implied v1 semantics) is query-query.
+  // The default is query-query.
   ASSERT_TRUE(SaveSnapshot(SampleMatrix(), "Simrank", path_).ok());
   EXPECT_EQ(LoadSnapshot(path_)->side, SnapshotSide::kQueryQuery);
 }
@@ -209,9 +209,10 @@ TEST_F(SnapshotTest, UnknownSideTagIsRejected) {
 }
 
 // Serializes SampleMatrix by hand in the version-1 layout (no side
-// field). Version-1 files predate the side tag and must keep loading, as
-// query-query, until the compatibility window closes.
-TEST_F(SnapshotTest, VersionOneFilesStillLoadAsQueryQuery) {
+// field, otherwise well formed and correctly checksummed). Readers take
+// only the current version, so the file is refused with an error that
+// names version 1 — not misparsed as a corrupt version-2 file.
+TEST_F(SnapshotTest, VersionOneFilesAreRejected) {
   SimilarityMatrix original = SampleMatrix();
   std::string bytes;
   bytes.append("SRPPSIM\0", 8);
@@ -258,14 +259,14 @@ TEST_F(SnapshotTest, VersionOneFilesStillLoadAsQueryQuery) {
   WriteAll(path_, bytes);
 
   Result<SimilaritySnapshot> loaded = LoadSnapshot(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->side, SnapshotSide::kQueryQuery);
-  EXPECT_EQ(loaded->method_name, "m");
-  EXPECT_EQ(loaded->matrix.MaxAbsDifference(original), 0.0);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("format version 1;"),
+            std::string::npos)
+      << loaded.status().ToString();
   Result<SnapshotInfo> info = ReadSnapshotInfo(path_);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 1u);
-  EXPECT_EQ(info->side, SnapshotSide::kQueryQuery);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().message(), loaded.status().message());
 }
 
 TEST_F(SnapshotTest, SerializeMatchesSavedFileAndReportsChecksum) {

@@ -8,11 +8,11 @@
 #include <thread>
 
 #include "util/csv_writer.h"
-#include "util/histogram.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
+#include "util/summary_stats.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
 #include "util/zipf.h"
@@ -550,55 +550,42 @@ TEST(SummaryStatsTest, QuantilesWithKeptSamples) {
   EXPECT_NEAR(stats.Quantile(0.5), 50.5, 1e-9);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.Add(0.5);
-  hist.Add(9.5);
-  hist.Add(-100.0);  // clamps to first bucket
-  hist.Add(100.0);   // clamps to last bucket
-  EXPECT_EQ(hist.total(), 4u);
-  EXPECT_EQ(hist.bucket(0), 2u);
-  EXPECT_EQ(hist.bucket(9), 2u);
-  EXPECT_DOUBLE_EQ(hist.BucketLow(5), 5.0);
+TEST(SummaryStatsTest, EmptyReadsZeroNotNaN) {
+  SummaryStats stats(/*keep_samples=*/true);
+  EXPECT_EQ(stats.count(), 0u);
+  EXPECT_EQ(stats.sum(), 0.0);
+  EXPECT_EQ(stats.mean(), 0.0);
+  EXPECT_EQ(stats.variance(), 0.0);
+  EXPECT_EQ(stats.stddev(), 0.0);
+  EXPECT_EQ(stats.Quantile(0.5), 0.0);
 }
 
-TEST(HistogramTest, SumAndMeanStayExactDespiteClamping) {
-  Histogram hist(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(hist.sum(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.mean(), 0.0);  // empty => 0, not NaN
-  hist.Add(2.0);
-  hist.Add(4.0);
-  hist.Add(-6.0);   // clamps into bucket 0 but sum keeps the raw value
-  hist.Add(1000.0);  // clamps into the last bucket likewise
-  EXPECT_DOUBLE_EQ(hist.sum(), 1000.0);
-  EXPECT_DOUBLE_EQ(hist.mean(), 250.0);
+TEST(SummaryStatsTest, QuantileInterpolatesBetweenOrderStatisticsAndClampsQ) {
+  SummaryStats stats(/*keep_samples=*/true);
+  for (double x : {40.0, 10.0, 30.0, 20.0}) stats.Add(x);  // unsorted
+  // Position q*(n-1) over the sorted samples {10, 20, 30, 40}.
+  EXPECT_DOUBLE_EQ(stats.Quantile(1.0 / 3.0), 20.0);
+  EXPECT_DOUBLE_EQ(stats.Quantile(0.5), 25.0);
+  EXPECT_DOUBLE_EQ(stats.Quantile(0.75), 32.5);
+  // q outside [0, 1] clamps to the extremes.
+  EXPECT_DOUBLE_EQ(stats.Quantile(-1.0), 10.0);
+  EXPECT_DOUBLE_EQ(stats.Quantile(2.0), 40.0);
+  EXPECT_EQ(stats.min(), 10.0);
+  EXPECT_EQ(stats.max(), 40.0);
 }
 
-TEST(HistogramTest, ApproxQuantileTracksUniformData) {
-  Histogram hist(0.0, 100.0, 100);
-  EXPECT_DOUBLE_EQ(hist.ApproxQuantile(0.5), 0.0);  // empty => 0
-  for (int i = 0; i < 1000; ++i) hist.Add(i / 10.0);
-  // Bucket resolution is 1.0, so the estimate lands within one bucket of
-  // the exact order statistic.
-  EXPECT_NEAR(hist.ApproxQuantile(0.0), 0.0, 1.0);
-  EXPECT_NEAR(hist.ApproxQuantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(hist.ApproxQuantile(0.9), 90.0, 1.0);
-  EXPECT_NEAR(hist.ApproxQuantile(1.0), 100.0, 1.0);
-  // Quantiles are monotone in q.
-  double last = hist.ApproxQuantile(0.0);
-  for (double q = 0.1; q <= 1.0; q += 0.1) {
-    double current = hist.ApproxQuantile(q);
-    EXPECT_GE(current, last);
-    last = current;
-  }
-}
-
-TEST(HistogramTest, ApproxQuantileSingleBucketInterpolates) {
-  Histogram hist(0.0, 10.0, 1);
-  for (int i = 0; i < 10; ++i) hist.Add(5.0);
-  double p50 = hist.ApproxQuantile(0.5);
-  EXPECT_GE(p50, 0.0);
-  EXPECT_LE(p50, 10.0);
+TEST(SummaryStatsTest, SamplesAddedAfterAQuantileAreSeen) {
+  SummaryStats stats(/*keep_samples=*/true);
+  for (double x : {5.0, 6.0, 7.0}) stats.Add(x);
+  EXPECT_DOUBLE_EQ(stats.Quantile(0.0), 5.0);
+  // The sorted cache from the first read must not hide new samples.
+  stats.Add(1.0);
+  stats.Add(9.0);
+  EXPECT_DOUBLE_EQ(stats.Quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(stats.Quantile(0.5), 6.0);
+  EXPECT_DOUBLE_EQ(stats.Quantile(1.0), 9.0);
+  EXPECT_EQ(stats.count(), 5u);
+  EXPECT_DOUBLE_EQ(stats.mean(), 5.6);
 }
 
 // --------------------------------------------------------------- Stopwatch

@@ -706,14 +706,14 @@ int CmdServeDaemon(int argc, char** argv) {
 
   int exit_code = (*daemon)->Wait();
   g_serve_daemon.store(nullptr);
-  DaemonMetrics metrics = (*daemon)->Metrics();
+  MetricsSnapshot metrics = (*daemon)->metrics_registry().Snapshot();
   std::fprintf(stderr,
-               "serve-daemon drained: admitted=%llu responses=%llu "
-               "batches=%llu reloads=%llu exit=%d\n",
-               static_cast<unsigned long long>(metrics.requests_admitted),
-               static_cast<unsigned long long>(metrics.responses_sent),
-               static_cast<unsigned long long>(metrics.batches_executed),
-               static_cast<unsigned long long>(metrics.reloads_applied),
+               "serve-daemon drained: admitted=%.0f responses=%.0f "
+               "batches=%.0f reloads=%.0f exit=%d\n",
+               metrics.Total("srpp_requests_total", {{"code", "ok"}}),
+               metrics.Total("srpp_responses_total"),
+               metrics.Total("srpp_batches_total"),
+               metrics.Total("srpp_reloads_total", {{"outcome", "applied"}}),
                exit_code);
   return exit_code;
 }
