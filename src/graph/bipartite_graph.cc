@@ -7,13 +7,13 @@
 namespace simrankpp {
 
 std::optional<QueryId> BipartiteGraph::FindQuery(
-    const std::string& label) const {
+    std::string_view label) const {
   auto it = query_index_.find(label);
   if (it == query_index_.end()) return std::nullopt;
   return it->second;
 }
 
-std::optional<AdId> BipartiteGraph::FindAd(const std::string& label) const {
+std::optional<AdId> BipartiteGraph::FindAd(std::string_view label) const {
   auto it = ad_index_.find(label);
   if (it == ad_index_.end()) return std::nullopt;
   return it->second;

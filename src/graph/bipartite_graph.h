@@ -8,9 +8,11 @@
 #define SIMRANKPP_GRAPH_BIPARTITE_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +28,19 @@ using AdId = uint32_t;
 using EdgeId = uint32_t;
 
 constexpr uint32_t kInvalidId = UINT32_MAX;
+
+/// \brief Hash for label-keyed maps that also accepts std::string_view
+/// keys, so a lookup by a borrowed text builds no std::string.
+struct LabelHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view label) const noexcept {
+    return std::hash<std::string_view>{}(label);
+  }
+};
+
+/// \brief Label -> node id, with heterogeneous (string_view) lookup.
+using LabelIndex =
+    std::unordered_map<std::string, uint32_t, LabelHash, std::equal_to<>>;
 
 /// \brief The three per-edge weights of the click graph (Section 2).
 struct EdgeWeights {
@@ -51,11 +66,11 @@ class BipartiteGraph {
   const std::string& query_label(QueryId q) const { return query_labels_[q]; }
   const std::string& ad_label(AdId a) const { return ad_labels_[a]; }
 
-  /// \brief Looks up a query node by label.
-  std::optional<QueryId> FindQuery(const std::string& label) const;
+  /// \brief Looks up a query node by label (no allocation).
+  std::optional<QueryId> FindQuery(std::string_view label) const;
 
-  /// \brief Looks up an ad node by label.
-  std::optional<AdId> FindAd(const std::string& label) const;
+  /// \brief Looks up an ad node by label (no allocation).
+  std::optional<AdId> FindAd(std::string_view label) const;
 
   /// \brief Edge ids incident to query q, ordered by ad id.
   std::span<const EdgeId> QueryEdges(QueryId q) const {
@@ -168,8 +183,8 @@ class BipartiteGraph {
 
   std::vector<std::string> query_labels_;
   std::vector<std::string> ad_labels_;
-  std::unordered_map<std::string, QueryId> query_index_;
-  std::unordered_map<std::string, AdId> ad_index_;
+  LabelIndex query_index_;
+  LabelIndex ad_index_;
 
   // Edge store (parallel arrays).
   std::vector<QueryId> edge_queries_;

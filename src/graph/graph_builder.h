@@ -58,8 +58,8 @@ class GraphBuilder {
  private:
   std::vector<std::string> query_labels_;
   std::vector<std::string> ad_labels_;
-  std::unordered_map<std::string, QueryId> query_index_;
-  std::unordered_map<std::string, AdId> ad_index_;
+  LabelIndex query_index_;
+  LabelIndex ad_index_;
   // Keyed by (q << 32 | a).
   std::unordered_map<uint64_t, EdgeWeights> edge_map_;
 };

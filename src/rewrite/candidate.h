@@ -36,6 +36,8 @@ const char* DropReasonName(DropReason reason);
 struct AuditedCandidate {
   RewriteCandidate candidate;
   DropReason outcome = DropReason::kKept;
+
+  bool operator==(const AuditedCandidate&) const = default;
 };
 
 }  // namespace simrankpp

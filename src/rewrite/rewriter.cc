@@ -17,6 +17,7 @@ QueryRewriter::QueryRewriter(std::string method_name,
       options_(options),
       side_(side) {
   similarities_.Finalize();
+  index_ = RewriteIndex::Build(num_nodes(), LabelFn(), bids_);
 }
 
 size_t QueryRewriter::num_nodes() const {
@@ -24,21 +25,28 @@ size_t QueryRewriter::num_nodes() const {
                                       : graph_->num_queries();
 }
 
-const std::string& QueryRewriter::Label(uint32_t node) const {
-  return side_ == SnapshotSide::kAdAd ? graph_->ad_label(node)
-                                      : graph_->query_label(node);
+NodeLabelFn QueryRewriter::LabelFn() const {
+  // The side is resolved once here, not per candidate.
+  const BipartiteGraph* graph = graph_;
+  if (side_ == SnapshotSide::kAdAd) {
+    return [graph](uint32_t n) -> const std::string& {
+      return graph->ad_label(n);
+    };
+  }
+  return [graph](uint32_t n) -> const std::string& {
+    return graph->query_label(n);
+  };
 }
 
 std::vector<RewriteCandidate> QueryRewriter::RewritesFor(QueryId q) const {
-  return SelectRewrites(
-      [this](uint32_t n) -> const std::string& { return Label(n); },
-      similarities_, q, bids_, options_);
+  return SelectRewrites(LabelFn(), index_, similarities_.Partners(q), q,
+                        options_);
 }
 
 Result<uint32_t> QueryRewriter::ResolveNode(std::string_view text) const {
   std::optional<uint32_t> node = side_ == SnapshotSide::kAdAd
-                                     ? graph_->FindAd(std::string(text))
-                                     : graph_->FindQuery(std::string(text));
+                                     ? graph_->FindAd(text)
+                                     : graph_->FindQuery(text);
   if (!node.has_value()) {
     return Status::NotFound(
         std::string(side_ == SnapshotSide::kAdAd
@@ -55,27 +63,25 @@ Result<std::vector<RewriteCandidate>> QueryRewriter::RewritesFor(
   return RewritesFor(q);
 }
 
-std::vector<RewriteCandidate> QueryRewriter::TopK(QueryId q, size_t k) const {
+std::vector<RewriteCandidate> QueryRewriter::SelectTopK(
+    QueryId q, std::span<const ScoredNode> row, size_t k) const {
   if (q >= num_nodes() || k == 0) return {};
   RewritePipelineOptions options = options_;
   options.max_rewrites = k;
   // Keep considering at least k candidates even when the configured
   // recording depth is narrower than the requested k.
   options.max_candidates = std::max(options.max_candidates, k);
-  return SelectRewrites(
-      [this](uint32_t n) -> const std::string& { return Label(n); },
-      similarities_, q, bids_, options);
+  return SelectRewrites(LabelFn(), index_, row, q, options);
+}
+
+std::vector<RewriteCandidate> QueryRewriter::TopK(QueryId q, size_t k) const {
+  if (q >= num_nodes()) return {};
+  return SelectTopK(q, similarities_.Partners(q), k);
 }
 
 std::vector<RewriteCandidate> QueryRewriter::TopKFromRow(
     QueryId q, std::span<const ScoredNode> row, size_t k) const {
-  if (q >= num_nodes() || k == 0) return {};
-  RewritePipelineOptions options = options_;
-  options.max_rewrites = k;
-  options.max_candidates = std::max(options.max_candidates, k);
-  return SelectRewrites(
-      [this](uint32_t n) -> const std::string& { return Label(n); }, row, q,
-      bids_, options);
+  return SelectTopK(q, row, k);
 }
 
 }  // namespace simrankpp

@@ -22,10 +22,17 @@ namespace simrankpp {
 /// \brief A ready-to-serve rewriter for one similarity method and side.
 class QueryRewriter {
  public:
+  /// Finalizes the scores and builds the generation's RewriteIndex (a
+  /// stem-key id per serving-side node, plus a has-bid bit per node when
+  /// `bids` is set) on the shared pool, so lookups never stem or hash
+  /// a text.
+  ///
   /// \param method_name shown in reports ("weighted Simrank", ...).
   /// \param graph the click graph the scores refer to; must outlive this.
   /// \param similarities finalized scores (taken by value).
-  /// \param bids bid list; may be null to disable the bid filter.
+  /// \param bids bid list; may be null to disable the bid filter. Each
+  ///        node's has-bid bit is read from it here, so later changes to
+  ///        it do not reach this rewriter.
   /// \param side which node set the scores range over; candidate texts
   ///        and text lookup follow it (query labels vs ad labels).
   QueryRewriter(std::string method_name, const BipartiteGraph* graph,
@@ -51,8 +58,9 @@ class QueryRewriter {
   /// \brief Like RewritesFor(q) but with the rewrite depth overridden to
   /// `k` (the rest of the pipeline options apply unchanged). Returns
   /// fewer than k when the pipeline keeps fewer candidates, and an empty
-  /// list for a node id outside the graph. Thread-safe: the pipeline
-  /// reads only finalized, immutable state.
+  /// list for a node id outside the graph. Stops reading the ranked row
+  /// at the k-th kept rewrite. Thread-safe: the pipeline reads only
+  /// finalized, immutable state.
   std::vector<RewriteCandidate> TopK(QueryId q, size_t k) const;
 
   /// \brief Like TopK, but selects from an externally ranked candidate
@@ -74,7 +82,12 @@ class QueryRewriter {
   size_t num_nodes() const;
 
  private:
-  const std::string& Label(uint32_t node) const;
+  /// Candidate texts on the serving side (query or ad labels).
+  NodeLabelFn LabelFn() const;
+  /// The pipeline over `row` at depth k (TopK and TopKFromRow).
+  std::vector<RewriteCandidate> SelectTopK(QueryId q,
+                                           std::span<const ScoredNode> row,
+                                           size_t k) const;
 
   std::string method_name_;
   const BipartiteGraph* graph_;
@@ -82,6 +95,7 @@ class QueryRewriter {
   const BidDatabase* bids_;
   RewritePipelineOptions options_;
   SnapshotSide side_;
+  RewriteIndex index_;
 };
 
 }  // namespace simrankpp

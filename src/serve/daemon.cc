@@ -64,6 +64,13 @@ std::vector<double> LatencySecondsBuckets() {
 constexpr const char* kRequestsHelp =
     "Requests by tenant and admission outcome code.";
 
+// Unsent reply bytes one connection may hold before the daemon stops
+// reading from it. A client that pipelines requests and reads its
+// replies slowly, or never, is paused here (EPOLLIN off) until its
+// backlog drains below the cap; requests admitted before the pause still
+// complete, so the backlog overshoots the cap by at most their replies.
+constexpr size_t kMaxUnsentOutputBytes = size_t{1} << 20;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -142,10 +149,12 @@ class ServeDaemon::Impl {
     int fd = -1;
     uint64_t serial = 0;
     std::string in;
+    // Reply bytes; [out_offset, out.size()) is not yet sent.
     std::string out;
     size_t out_offset = 0;
     bool close_after_flush = false;
-    bool epollout_armed = false;
+    // The epoll interest registered for fd (see SetInterest).
+    uint32_t events = EPOLLIN;
   };
 
   // A TopK request admitted into a tenant's pending queue.
@@ -249,6 +258,7 @@ class ServeDaemon::Impl {
                  double recv_seconds);
   void AppendOutput(Connection* conn, std::string bytes);
   void TryFlush(Connection* conn);
+  void SetInterest(Connection* conn, uint32_t events);
   void SendError(Connection* conn, uint32_t request_id, WireCode code,
                  const std::string& message);
   void CloseConnection(int fd);
@@ -353,6 +363,7 @@ class ServeDaemon::Impl {
   Counter* bad_frames_ = nullptr;
   Counter* bad_requests_ = nullptr;
   Counter* responses_sent_ = nullptr;
+  Counter* backpressure_ = nullptr;
   Counter* reloads_applied_ = nullptr;
   Counter* reloads_failed_ = nullptr;
   // Drain refusals with no tenant attached (RELOAD during drain).
@@ -390,6 +401,9 @@ Status ServeDaemon::Impl::Boot() {
       "Well-framed but malformed or unknown requests.");
   responses_sent_ = metrics_.GetCounter("srpp_responses_total",
                                         "Response frames sent.");
+  backpressure_ = metrics_.GetCounter(
+      "srpp_backpressure_total",
+      "Read pauses: a connection's unsent replies exceeded the output cap.");
   reloads_applied_ = metrics_.GetCounter(
       "srpp_reloads_total", "Tenant reloads by outcome.",
       {{"outcome", "applied"}});
@@ -904,10 +918,17 @@ void ServeDaemon::Impl::SendError(Connection* conn, uint32_t request_id,
 }
 
 void ServeDaemon::Impl::AppendOutput(Connection* conn, std::string bytes) {
-  if (conn->out.empty()) {
+  if (conn->out_offset == conn->out.size()) {
     conn->out = std::move(bytes);
     conn->out_offset = 0;
   } else {
+    // Drop the sent prefix once it is as long as the unsent tail: out
+    // then never holds more than twice its unsent bytes, and each byte
+    // is moved at most once on average.
+    if (conn->out_offset >= conn->out.size() - conn->out_offset) {
+      conn->out.erase(0, conn->out_offset);
+      conn->out_offset = 0;
+    }
     conn->out += bytes;
   }
   TryFlush(conn);
@@ -922,29 +943,31 @@ void ServeDaemon::Impl::TryFlush(Connection* conn) {
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->epollout_armed) {
-        epoll_event event{};
-        event.events = EPOLLIN | EPOLLOUT;
-        event.data.fd = conn->fd;
-        epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event);
-        conn->epollout_armed = true;
-      }
-      return;
-    }
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     CloseConnection(conn->fd);
     return;
   }
-  conn->out.clear();
-  conn->out_offset = 0;
-  if (conn->epollout_armed) {
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.fd = conn->fd;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event);
-    conn->epollout_armed = false;
+  const size_t unsent = conn->out.size() - conn->out_offset;
+  if (unsent == 0) {
+    conn->out.clear();
+    conn->out_offset = 0;
   }
-  if (conn->close_after_flush) CloseConnection(conn->fd);
+  // Wait for EPOLLOUT while bytes are unsent; stop reading requests while
+  // the backlog is above the cap.
+  const bool pause = unsent > kMaxUnsentOutputBytes;
+  if (pause && (conn->events & EPOLLIN) != 0) backpressure_->Increment();
+  SetInterest(conn, (pause ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+                        (unsent > 0 ? static_cast<uint32_t>(EPOLLOUT) : 0u));
+  if (unsent == 0 && conn->close_after_flush) CloseConnection(conn->fd);
+}
+
+void ServeDaemon::Impl::SetInterest(Connection* conn, uint32_t events) {
+  if (events == conn->events) return;
+  epoll_event event{};
+  event.events = events;
+  event.data.fd = conn->fd;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event);
+  conn->events = events;
 }
 
 void ServeDaemon::Impl::CloseConnection(int fd) {

@@ -2,8 +2,9 @@
 // oversized frame handling (one poisoned connection never disturbs its
 // neighbors), per-tenant admission control (unknown tenant, rate limit,
 // queue shedding), TopK micro-batch coalescing, network-triggered hot
-// reload, and graceful-drain semantics (admitted requests complete, late
-// ones get kDraining, new connects are refused, Wait() returns 0).
+// reload, graceful-drain semantics (admitted requests complete, late
+// ones get kDraining, new connects are refused, Wait() returns 0), and
+// output backpressure (a client that does not read is paused alone).
 //
 // Runs as one ctest entry (SINGLE_PROCESS): every case shares the static
 // two-tenant serving world below — the engine runs that build its
@@ -14,8 +15,10 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -869,6 +872,95 @@ TEST(ServeDaemonTest, SlowRequestsAreCountedAndKeptInRing) {
   EXPECT_EQ(
       fast->metrics_registry().Snapshot().Value("srpp_slow_requests_total"),
       0.0);
+}
+
+// A client that pipelines TopKs and does not read its replies is paused
+// (its socket stops being read) once its unsent replies pass the output
+// cap; other connections keep being served, and once the client reads it
+// gets every reply, in order and intact.
+TEST(ServeDaemonTest, NonReadingClientIsPausedWhileOthersAreServed) {
+  DaemonOptions options = World().Options();
+  options.max_queue_per_tenant = 1 << 16;  // nothing shed: count replies
+  auto daemon = StartDaemon(options);
+
+  // The query with the longest reply makes the backlog grow fastest.
+  std::string query;
+  std::vector<TopKItem> expected;
+  for (QueryId q = 0; q < 40; ++q) {
+    const std::string& label = World().graph_a.query_label(q);
+    std::vector<TopKItem> items = ExpectedItems(*daemon, "alpha", label, 100);
+    if (items.size() > expected.size()) {
+      query = label;
+      expected = std::move(items);
+    }
+  }
+  ASSERT_GE(expected.size(), 10u);
+
+  Client slow = ConnectTo(*daemon);
+  const int fd = slow.fd();
+  // The timeout turns a lost reply into a failure instead of a hang.
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ASSERT_EQ(
+      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+
+  auto backpressure = [&daemon] {
+    return daemon->metrics_registry().Snapshot().Value(
+        "srpp_backpressure_total");
+  };
+  uint32_t requests = 0;
+  std::string unsent;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (backpressure() < 1.0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "no pause after " << requests << " pipelined requests";
+    if (unsent.empty()) {
+      for (int i = 0; i < 16; ++i) {
+        AppendTopKRequestFrame(TopKRequest{"alpha", query, 100}, ++requests,
+                               &unsent);
+      }
+    }
+    ssize_t w = send(fd, unsent.data(), unsent.size(),
+                     MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (w > 0) {
+      unsent.erase(0, static_cast<size_t>(w));
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  // The paused connection does not hold up anyone else.
+  Client other = ConnectTo(*daemon);
+  const std::string other_query = World().graph_b.query_label(3);
+  Result<Reply> served = other.TopK("beta", other_query, 5, 1);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->code, WireCode::kOk);
+  EXPECT_EQ(served->items, ExpectedItems(*daemon, "beta", other_query, 5));
+
+  // Reading drains the backlog; the daemon then reads the rest of the
+  // requests, which a helper finishes sending meanwhile.
+  std::thread finish([fd, rest = std::move(unsent)] {
+    size_t sent = 0;
+    while (sent < rest.size()) {
+      ssize_t w = send(fd, rest.data() + sent, rest.size() - sent,
+                       MSG_NOSIGNAL);
+      if (w <= 0) break;
+      sent += static_cast<size_t>(w);
+    }
+  });
+  for (uint32_t id = 1; id <= requests; ++id) {
+    Result<Reply> reply = slow.ReadReply();
+    if (!reply.ok() || reply->request_id != id ||
+        reply->code != WireCode::kOk || reply->items != expected) {
+      ADD_FAILURE() << "reply " << id << " of " << requests << ": "
+                    << (reply.ok() ? "wrong id, code or items"
+                                   : reply.status().ToString());
+      shutdown(fd, SHUT_RDWR);  // unblocks the helper's send
+      break;
+    }
+  }
+  finish.join();
 }
 
 }  // namespace

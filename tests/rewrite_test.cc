@@ -1,12 +1,23 @@
 // Rewrite front-end tests: bid database, the selection pipeline (top-100,
-// stem dedup, bid filter, top-5) with per-candidate audit outcomes, and
-// the QueryRewriter facade.
+// stem dedup, bid filter, top-5) with per-candidate audit outcomes, the
+// QueryRewriter facade, and an oracle that checks the index-backed
+// pipeline against a reference that works on texts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "core/engine_registry.h"
 #include "core/sample_graphs.h"
 #include "graph/graph_builder.h"
 #include "rewrite/pipeline.h"
 #include "rewrite/rewriter.h"
+#include "synth/bid_generator.h"
+#include "synth/click_graph_generator.h"
+#include "text/normalize.h"
+#include "util/logging.h"
 
 namespace simrankpp {
 namespace {
@@ -257,6 +268,202 @@ TEST(RewriterTest, EndToEndOnFigure3) {
   auto missing = rewriter.RewritesFor("no such query");
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+// ------------------------------------------------------------- oracle
+
+// Reference pipeline on texts: every candidate's text is stemmed and
+// looked up in the bid list on every call, and the scan always runs to
+// max_candidates. It shares no code with the index-backed loop.
+std::vector<AuditedCandidate> ReferenceAudit(
+    const BipartiteGraph& graph, std::span<const ScoredNode> ranked,
+    QueryId q, const BidDatabase* bids,
+    const RewritePipelineOptions& options) {
+  if (ranked.size() > options.max_candidates) {
+    ranked = ranked.first(options.max_candidates);
+  }
+  const std::string query_key = QueryStemKey(graph.query_label(q));
+  std::unordered_set<std::string> seen_keys;
+  size_t kept = 0;
+  std::vector<AuditedCandidate> audited;
+  for (const ScoredNode& scored : ranked) {
+    if (scored.score <= options.min_score) break;
+    AuditedCandidate entry;
+    entry.candidate = {scored.node, graph.query_label(scored.node),
+                       scored.score};
+    const std::string key = QueryStemKey(entry.candidate.text);
+    if (options.apply_dedup && key == query_key) {
+      entry.outcome = DropReason::kDuplicateOfQuery;
+    } else if (options.apply_dedup && seen_keys.count(key) > 0) {
+      entry.outcome = DropReason::kDuplicateOfEarlier;
+    } else if (options.apply_bid_filter && bids != nullptr &&
+               !bids->HasBid(entry.candidate.text)) {
+      entry.outcome = DropReason::kNoBid;
+    } else if (kept >= options.max_rewrites) {
+      entry.outcome = DropReason::kBeyondDepth;
+    } else {
+      entry.outcome = DropReason::kKept;
+      ++kept;
+    }
+    if (options.apply_dedup) seen_keys.insert(key);
+    audited.push_back(std::move(entry));
+  }
+  return audited;
+}
+
+std::vector<RewriteCandidate> KeptOf(
+    const std::vector<AuditedCandidate>& audited) {
+  std::vector<RewriteCandidate> kept;
+  for (const AuditedCandidate& entry : audited) {
+    if (entry.outcome == DropReason::kKept) kept.push_back(entry.candidate);
+  }
+  return kept;
+}
+
+// A generated click graph (plural query forms give stem duplicates),
+// weighted Simrank scores and a generated bid list.
+struct OracleWorld {
+  OracleWorld() {
+    GeneratorOptions generator;
+    generator.num_queries = 2000;
+    generator.num_ads = 100;
+    generator.mean_impressions_per_query = 80.0;
+    generator.seed = 19;
+    Result<SyntheticClickGraph> generated = GenerateClickGraph(generator);
+    SRPP_CHECK(generated.ok());
+    world = std::move(generated).value();
+    SimRankOptions options;
+    options.variant = SimRankVariant::kWeighted;
+    options.iterations = 5;
+    options.prune_threshold = 1e-6;
+    options.num_threads = 1;
+    auto engine = CreateSimRankEngine("sparse", options);
+    SRPP_CHECK(engine.ok());
+    SRPP_CHECK((*engine)->Run(world.graph).ok());
+    scores = (*engine)->ExportQueryScores(1e-6);
+    scores.Finalize();
+    bids = BidDatabase(GenerateBidSet(world, BidGeneratorOptions{}));
+  }
+
+  SyntheticClickGraph world;
+  SimilarityMatrix scores{0};
+  BidDatabase bids;
+};
+
+const OracleWorld& Oracle() {
+  static const OracleWorld* world = new OracleWorld();
+  return *world;
+}
+
+// Every node, every option combination of the grid: QueryRewriter::TopK,
+// RewritesFor and AuditRewrites over the index agree exactly with the
+// reference.
+void ExpectIndexedPipelineMatchesReference(bool apply_dedup) {
+  const OracleWorld& oracle = Oracle();
+  const BipartiteGraph& graph = oracle.world.graph;
+  size_t duplicate_drops = 0;
+  size_t no_bid_drops = 0;
+  size_t cases = 0;
+  for (bool with_bids : {false, true}) {
+    const BidDatabase* bids = with_bids ? &oracle.bids : nullptr;
+    NodeLabelFn label = [&graph](uint32_t n) -> const std::string& {
+      return graph.query_label(n);
+    };
+    RewriteIndex index = RewriteIndex::Build(graph.num_queries(), label, bids);
+    for (size_t max_candidates : {size_t{2}, size_t{100}}) {
+      for (double min_score : {0.0, 0.01}) {
+        RewritePipelineOptions options;
+        options.apply_dedup = apply_dedup;
+        options.apply_bid_filter = true;  // off when bids is null
+        options.max_candidates = max_candidates;
+        options.min_score = min_score;
+        QueryRewriter rewriter("oracle", &graph, oracle.scores, bids,
+                               options);
+        for (QueryId q = 0; q < graph.num_queries(); ++q) {
+          std::span<const ScoredNode> row = oracle.scores.Partners(q);
+          SCOPED_TRACE(testing::Message()
+                       << "q=" << q << " bids=" << with_bids
+                       << " max_candidates=" << max_candidates
+                       << " min_score=" << min_score);
+          std::vector<AuditedCandidate> reference =
+              ReferenceAudit(graph, row, q, bids, options);
+          ASSERT_EQ(AuditRewrites(label, index, row, q, options), reference);
+          ASSERT_EQ(rewriter.RewritesFor(q), KeptOf(reference));
+          for (size_t k : {1, 5, 10, 100}) {
+            RewritePipelineOptions at_k = options;
+            at_k.max_rewrites = k;
+            at_k.max_candidates = std::max(max_candidates, k);
+            std::vector<AuditedCandidate> audited =
+                ReferenceAudit(graph, row, q, bids, at_k);
+            ASSERT_EQ(rewriter.TopK(q, k), KeptOf(audited)) << "k=" << k;
+            for (const AuditedCandidate& entry : audited) {
+              duplicate_drops +=
+                  entry.outcome == DropReason::kDuplicateOfQuery ||
+                  entry.outcome == DropReason::kDuplicateOfEarlier;
+              no_bid_drops += entry.outcome == DropReason::kNoBid;
+            }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 2 * 2 * 4 * graph.num_queries());
+  // Both filters must really have been exercised by the grid, and rows
+  // must reach past the recording depth.
+  size_t deep_rows = 0;
+  for (QueryId q = 0; q < graph.num_queries(); ++q) {
+    deep_rows += oracle.scores.Partners(q).size() > 100;
+  }
+  EXPECT_GT(deep_rows, 0u);
+  EXPECT_GT(no_bid_drops, 0u);
+  if (apply_dedup) {
+    EXPECT_GT(duplicate_drops, 0u);
+  } else {
+    EXPECT_EQ(duplicate_drops, 0u);
+  }
+}
+
+TEST(PipelineOracleTest, IndexedPipelineMatchesStringPipelineWithDedup) {
+  ExpectIndexedPipelineMatchesReference(/*apply_dedup=*/true);
+}
+
+TEST(PipelineOracleTest, IndexedPipelineMatchesStringPipelineWithoutDedup) {
+  ExpectIndexedPipelineMatchesReference(/*apply_dedup=*/false);
+}
+
+TEST(PipelineOracleTest, IndexIdsAreDeterministicAndMatchStemKeys) {
+  const BipartiteGraph& graph = Oracle().world.graph;
+  NodeLabelFn label = [&graph](uint32_t n) -> const std::string& {
+    return graph.query_label(n);
+  };
+  RewriteIndex index =
+      RewriteIndex::Build(graph.num_queries(), label, &Oracle().bids);
+  ASSERT_EQ(index.num_nodes(), graph.num_queries());
+  // Ids number distinct keys by first occurrence in node order, and two
+  // nodes share an id exactly when their stem keys are equal.
+  std::vector<std::string> first_key_of_id;
+  for (QueryId q = 0; q < graph.num_queries(); ++q) {
+    const std::string key = QueryStemKey(graph.query_label(q));
+    uint32_t id = index.stem_id(q);
+    if (id == first_key_of_id.size()) {
+      first_key_of_id.push_back(key);
+    } else {
+      ASSERT_LT(id, first_key_of_id.size()) << "q=" << q;
+      EXPECT_EQ(first_key_of_id[id], key) << "q=" << q;
+    }
+    EXPECT_EQ(index.has_bid(q), Oracle().bids.HasBid(graph.query_label(q)));
+  }
+  EXPECT_LT(first_key_of_id.size(), graph.num_queries());  // duplicates
+  std::unordered_set<std::string> distinct(first_key_of_id.begin(),
+                                           first_key_of_id.end());
+  EXPECT_EQ(distinct.size(), first_key_of_id.size());
+  RewriteIndex without_bids =
+      RewriteIndex::Build(graph.num_queries(), label, nullptr);
+  for (QueryId q = 0; q < graph.num_queries(); ++q) {
+    EXPECT_EQ(without_bids.stem_id(q), index.stem_id(q));
+    EXPECT_TRUE(without_bids.has_bid(q));
+  }
 }
 
 }  // namespace

@@ -552,6 +552,46 @@ TEST(OnDemandServiceTest, PureOnDemandMatchesPrecomputedLinearizedService) {
   EXPECT_GT(stats.row_cache_hits, 0u);
 }
 
+// The same equivalence at the deepest k and with every filter on: a bid
+// list (two of every three queries bid) and stem dedup, so rows computed
+// lazily go through the same index-backed selection as precomputed ones.
+TEST(OnDemandServiceTest, OnDemandMatchesPrecomputedAtDepth100WithBids) {
+  BipartiteGraph graph = SeededGraph(120, 5);
+  BidDatabase bids;
+  for (QueryId q = 0; q < graph.num_queries(); ++q) {
+    if (q % 3 != 0) bids.AddBid(graph.query_label(q));
+  }
+  RewritePipelineOptions pipeline;  // dedup and bid filter on
+  auto precomputed = RewriteServiceBuilder()
+                         .WithGraph(&graph)
+                         .WithEngine("linearized", OnDemandEngineOptions())
+                         .WithBidDatabase(&bids)
+                         .WithPipelineOptions(pipeline)
+                         .Build();
+  ASSERT_TRUE(precomputed.ok()) << precomputed.status().ToString();
+  auto lazy = RewriteServiceBuilder()
+                  .WithGraph(&graph)
+                  .WithOnDemandEngine("linearized", OnDemandEngineOptions())
+                  .WithBidDatabase(&bids)
+                  .WithPipelineOptions(pipeline)
+                  .Build();
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+
+  size_t deep = 0;
+  for (QueryId q = 0; q < graph.num_queries(); ++q) {
+    SCOPED_TRACE(q);
+    for (size_t k : {5, 100}) {
+      std::vector<RewriteCandidate> reference = (*precomputed)->TopK(q, k);
+      for (const RewriteCandidate& candidate : reference) {
+        EXPECT_TRUE(bids.HasBid(candidate.text)) << candidate.text;
+      }
+      if (k == 100 && reference.size() > 5) ++deep;
+      ExpectEquivalentRewrites((*lazy)->TopK(q, k), reference);
+    }
+  }
+  EXPECT_GT(deep, 0u);  // k = 100 reached past the default depth
+}
+
 TEST(OnDemandServiceTest, HybridMatrixFallsBackOnlyForMissingRows) {
   BipartiteGraph graph = SeededGraph(100, 13);
   // A matrix that covers query 0 only; every other row is missing and
