@@ -4,7 +4,8 @@
 // the daemon — and the crossover against a full sparse-engine
 // materialization: Prepare + a handful of rows should beat computing
 // every row when only a few are ever asked for. The measured tables
-// live in docs/BENCHMARKS.md.
+// live in docs/BENCHMARKS.md. Last, the serving tenant's layer: Prepare
+// and every query's row on the end-to-end benchmark's tenant graph.
 //
 //   bench_perf_linearized [--smoke] [--repeats N] [--json <path>]
 #include <cstdio>
@@ -31,6 +32,19 @@ BipartiteGraph BenchGraph(size_t num_queries) {
   options.taxonomy.subtopics_per_category = 10;
   options.mean_impressions_per_query = 25.0;
   options.seed = 99;
+  auto world = GenerateClickGraph(options);
+  SRPP_CHECK(world.ok());
+  return std::move(world)->graph;
+}
+
+// The end-to-end benchmark's tenant recipe (`num_queries` requested, one
+// ad per three, seed 2024; the generator keeps the queries that drew
+// impressions), as bench_perf_snapshot's service cases use it.
+BipartiteGraph TenantGraph(size_t num_queries) {
+  GeneratorOptions options;
+  options.num_queries = num_queries;
+  options.num_ads = num_queries / 3;
+  options.seed = 2024;
   auto world = GenerateClickGraph(options);
   SRPP_CHECK(world.ok());
   return std::move(world)->graph;
@@ -128,6 +142,34 @@ int Main(int argc, char** argv) {
         entries += row->size();
       }
       return "entries=" + std::to_string(entries);
+    });
+    table.Print();
+    report.Add(table);
+  }
+
+  // An on-demand tenant's engine as the snapshot store builds it (default
+  // options): its Prepare, then every query's row once, at the depth and
+  // floor the rewrite service asks for.
+  {
+    BipartiteGraph graph = TenantGraph(smoke ? 3000 : 8000);
+    const uint32_t nq = static_cast<uint32_t>(graph.num_queries());
+    bench::PerfTable table("on-demand tenant, " + GraphNote(graph), repeats);
+    table.Run("prepare/" + std::to_string(nq) + "q", [&] {
+      LinearizedSimRankEngine engine{SimRankOptions{}};
+      SRPP_CHECK(engine.Prepare(graph).ok());
+      return "sweeps=" + std::to_string(engine.stats().iterations_run);
+    });
+    LinearizedSimRankEngine engine{SimRankOptions{}};
+    SRPP_CHECK(engine.Prepare(graph).ok());
+    table.Run("scored_row/" + std::to_string(nq) + "q", [&] {
+      size_t entries = 0;
+      for (uint32_t node = 0; node < nq; ++node) {
+        auto row = engine.ScoredRow(/*ad_side=*/false, node,
+                                    /*min_score=*/1e-6, /*max_partners=*/100);
+        SRPP_CHECK(row.ok());
+        entries += row->size();
+      }
+      return std::to_string(nq) + " rows, entries=" + std::to_string(entries);
     });
     table.Print();
     report.Add(table);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/evidence.h"
+#include "graph/components.h"
 #include "util/simd/simd.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -54,74 +55,123 @@ Status LinearizedSimRankEngine::BindGraph(const BipartiteGraph& graph) {
   }
   graph_ = &graph;
 
-  // Flatten both adjacency directions. Multi-edges stay as repeated
-  // neighbor entries: plain SimRank's uniform 1/N transition is over edge
-  // endpoints, exactly like the dense engine's per-edge loops.
-  auto build_side = [&graph](bool ad_side) {
+  // Component order: a counting sort of each side by component, stable
+  // in the original ids.
+  ComponentInfo components = FindConnectedComponents(graph);
+  auto order_side = [&components](const std::vector<uint32_t>& component) {
     SideAdjacency adj;
-    size_t n = ad_side ? graph.num_ads() : graph.num_queries();
-    adj.offsets.assign(n + 1, 0);
-    adj.inv_degree.assign(n, 0.0);
-    for (size_t u = 0; u < n; ++u) {
-      size_t degree = ad_side ? graph.AdDegree(static_cast<AdId>(u))
-                              : graph.QueryDegree(static_cast<QueryId>(u));
-      adj.offsets[u + 1] = adj.offsets[u] + degree;
-      if (degree > 0) adj.inv_degree[u] = 1.0 / static_cast<double>(degree);
+    size_t n = component.size();
+    adj.begin.assign(components.num_components() + 1, 0);
+    for (uint32_t c : component) ++adj.begin[c + 1];
+    for (size_t c = 1; c < adj.begin.size(); ++c) {
+      adj.begin[c] += adj.begin[c - 1];
     }
-    adj.neighbors.resize(adj.offsets[n]);
-    for (size_t u = 0; u < n; ++u) {
-      size_t at = adj.offsets[u];
-      if (ad_side) {
-        for (EdgeId e : graph.AdEdges(static_cast<AdId>(u))) {
-          adj.neighbors[at++] = graph.edge_query(e);
-        }
-      } else {
-        for (EdgeId e : graph.QueryEdges(static_cast<QueryId>(u))) {
-          adj.neighbors[at++] = graph.edge_ad(e);
-        }
-      }
-      std::sort(adj.neighbors.begin() + adj.offsets[u],
-                adj.neighbors.begin() + adj.offsets[u + 1]);
+    std::vector<uint32_t> next(adj.begin.begin(), adj.begin.end() - 1);
+    adj.component.resize(n);
+    adj.to_new.resize(n);
+    adj.to_original.resize(n);
+    for (uint32_t u = 0; u < n; ++u) {
+      uint32_t id = next[component[u]]++;
+      adj.component[id] = component[u];
+      adj.to_new[u] = id;
+      adj.to_original[id] = u;
     }
     return adj;
   };
-  query_adj_ = build_side(/*ad_side=*/false);
-  ad_adj_ = build_side(/*ad_side=*/true);
+  query_adj_ = order_side(components.query_component);
+  ad_adj_ = order_side(components.ad_component);
+
+  // Flatten both adjacency directions. Multi-edges stay as repeated
+  // neighbor entries: plain SimRank's uniform 1/N transition is over edge
+  // endpoints, exactly like the dense engine's per-edge loops.
+  auto fill_side = [&graph](bool ad_side, const SideAdjacency& opp,
+                            SideAdjacency* adj) {
+    size_t n = adj->to_original.size();
+    adj->offsets.assign(n + 1, 0);
+    adj->inv_degree.assign(n, 0.0);
+    adj->neighbors.reserve(graph.num_edges());
+    for (size_t id = 0; id < n; ++id) {
+      uint32_t u = adj->to_original[id];
+      std::span<const EdgeId> edges = ad_side ? graph.AdEdges(u)
+                                              : graph.QueryEdges(u);
+      for (EdgeId e : edges) {
+        adj->neighbors.push_back(
+            opp.to_new[ad_side ? graph.edge_query(e) : graph.edge_ad(e)]);
+      }
+      adj->offsets[id + 1] = adj->neighbors.size();
+      if (!edges.empty()) {
+        adj->inv_degree[id] = 1.0 / static_cast<double>(edges.size());
+      }
+      std::sort(adj->neighbors.begin() + adj->offsets[id],
+                adj->neighbors.end());
+    }
+  };
+  fill_side(/*ad_side=*/false, ad_adj_, &query_adj_);
+  fill_side(/*ad_side=*/true, query_adj_, &ad_adj_);
   return Status::OK();
 }
 
-void LinearizedSimRankEngine::WalkStep(const SideAdjacency& own_adj,
-                                       const SideAdjacency& opp_adj,
-                                       const SparseRow& from,
-                                       WorkVec* opp_out, WorkVec* own_out) {
-  // The walk propagation (here and in RawRow's backward pass) is a
-  // SCATTER — each source spreads mass to its neighbors' slots — which
-  // the gather-oriented SIMD kernels cannot express without conflict
-  // detection; it stays scalar by design. The vectorized piece of this
-  // engine is the diagonal estimation's dot products (EstimateDiagonals).
-  //
-  // t = A^T w with A the own side's row-normalized adjacency: mass leaves
-  // each source node split evenly over its edges.
-  opp_out->Clear();
-  for (const ScoredNode& entry : from) {
-    double spread = entry.score * own_adj.inv_degree[entry.node];
-    if (spread == 0.0) continue;
-    for (uint32_t b : own_adj.Neighbors(entry.node)) opp_out->Add(b, spread);
-  }
-  opp_out->SortTouched();
+LinearizedSimRankEngine::Walk LinearizedSimRankEngine::ForwardWalk(
+    bool ad_side, uint32_t node) const {
+  const SideAdjacency& own_adj = ad_side ? ad_adj_ : query_adj_;
+  const SideAdjacency& opp_adj = ad_side ? query_adj_ : ad_adj_;
+  const uint32_t start = own_adj.to_new[node];
+  const uint32_t c = own_adj.component[start];
+  Walk walk;
+  walk.own_begin = own_adj.begin[c];
+  walk.own_size = own_adj.begin[c + 1] - walk.own_begin;
+  walk.opp_begin = opp_adj.begin[c];
+  walk.opp_size = opp_adj.begin[c + 1] - walk.opp_begin;
+  const size_t depth = options_.linearized_series_depth;
+  walk.w.assign((depth + 1) * walk.own_size, 0.0);
+  walk.t.assign((depth + 1) * walk.opp_size, 0.0);
+  walk.w[start - walk.own_begin] = 1.0;
 
-  // w' = B^T t with B the opposite side's row-normalized adjacency.
-  own_out->Clear();
-  for (uint32_t b : opp_out->touched) {
-    double spread = opp_out->value[b] * opp_adj.inv_degree[b];
-    if (spread == 0.0) continue;
-    for (uint32_t v : opp_adj.Neighbors(b)) own_out->Add(v, spread);
+  // One pass: out[i] = sum of spread[u - from_begin] over the neighbors
+  // u of target to_begin + i, ascending. Returns whether any is nonzero.
+  // A gather, but scalar on purpose: the SIMD gather kernels sum in
+  // 8-lane order, and the sequential order is what fixes every bit.
+  auto pull = [](const SideAdjacency& to, uint32_t to_begin, uint32_t size,
+                 const double* spread, uint32_t from_begin, double* out) {
+    bool nonzero = false;
+    for (uint32_t i = 0; i < size; ++i) {
+      double sum = 0.0;
+      for (uint32_t u : to.Neighbors(to_begin + i)) {
+        sum += spread[u - from_begin];
+      }
+      out[i] = sum;
+      nonzero |= sum != 0.0;
+    }
+    return nonzero;
+  };
+  std::vector<double> spread(std::max(walk.own_size, walk.opp_size));
+  for (size_t k = 0;; ++k) {
+    // t_k = A^T w_k with A the own side's row-normalized adjacency: mass
+    // leaves each source node split evenly over its edges.
+    const double* w = walk.W(k);
+    for (uint32_t i = 0; i < walk.own_size; ++i) {
+      spread[i] = w[i] * own_adj.inv_degree[walk.own_begin + i];
+    }
+    double* t = walk.T(k);
+    pull(opp_adj, walk.opp_begin, walk.opp_size, spread.data(),
+         walk.own_begin, t);
+    walk.steps = k + 1;
+    if (k == depth) break;
+    // w_{k+1} = B^T t_k with B the opposite side's row-normalized
+    // adjacency; the walk stops once it dies out (isolated nodes).
+    for (uint32_t j = 0; j < walk.opp_size; ++j) {
+      spread[j] = t[j] * opp_adj.inv_degree[walk.opp_begin + j];
+    }
+    if (!pull(own_adj, walk.own_begin, walk.own_size, spread.data(),
+              walk.opp_begin, walk.W(k + 1))) {
+      break;
+    }
   }
-  own_out->SortTouched();
+  return walk;
 }
 
 LinearizedSimRankEngine::DiagForm LinearizedSimRankEngine::BuildDiagForm(
-    bool ad_side, uint32_t node, Scratch* scratch) const {
+    bool ad_side, uint32_t node) const {
   const SideAdjacency& own_adj = ad_side ? ad_adj_ : query_adj_;
   const SideAdjacency& opp_adj = ad_side ? query_adj_ : ad_adj_;
   const double cross_factor = ad_side ? options_.c2 : options_.c1;
@@ -132,36 +182,35 @@ LinearizedSimRankEngine::DiagForm LinearizedSimRankEngine::BuildDiagForm(
   //                       + cross_factor * sum_b D_opp[b] t_k[b]^2 ],
   // with w_k the forward walk iterate and t_k its opposite-side
   // projection, collected as coefficients on D_own / D_opp.
-  WorkVec& own_coeff = scratch->result;
-  WorkVec& cross_coeff = scratch->cross;
-  own_coeff.Clear();
-  cross_coeff.Clear();
-
-  SparseRow walk = {{node, 1.0}};
+  Walk walk = ForwardWalk(ad_side, node);
+  std::vector<double> own_coeff(walk.own_size, 0.0);
+  std::vector<double> cross_coeff(walk.opp_size, 0.0);
   double weight = 1.0;
-  for (size_t k = 0;; ++k) {
-    for (const ScoredNode& entry : walk) {
-      own_coeff.Add(entry.node, weight * entry.score * entry.score);
+  for (size_t k = 0; k < walk.steps; ++k, weight *= decay) {
+    const double* w = walk.W(k);
+    for (uint32_t i = 0; i < walk.own_size; ++i) {
+      own_coeff[i] += weight * w[i] * w[i];
     }
-    WalkStep(own_adj, opp_adj, walk, &scratch->opposite, &scratch->own);
-    for (uint32_t b : scratch->opposite.touched) {
-      double v = scratch->opposite.value[b];
-      cross_coeff.Add(b, weight * cross_factor * v * v);
+    const double cross_weight = weight * cross_factor;
+    const double* t = walk.T(k);
+    for (uint32_t j = 0; j < walk.opp_size; ++j) {
+      cross_coeff[j] += cross_weight * t[j] * t[j];
     }
-    if (k == options_.linearized_series_depth ||
-        scratch->own.touched.empty()) {
-      break;
-    }
-    walk.clear();
-    scratch->own.CompactInto(&walk);
-    weight *= decay;
   }
 
   DiagForm form;
   // k = 0 contributes w_0[node]^2 = 1, so alpha >= 1 always.
-  form.alpha = own_coeff.value[node];
-  own_coeff.CompactInto(&form.own_nodes, &form.own_coeffs);
-  cross_coeff.CompactInto(&form.cross_nodes, &form.cross_coeffs);
+  form.alpha = own_coeff[own_adj.to_new[node] - walk.own_begin];
+  for (uint32_t i = 0; i < walk.own_size; ++i) {
+    if (own_coeff[i] == 0.0) continue;
+    form.own_nodes.push_back(own_adj.to_original[walk.own_begin + i]);
+    form.own_coeffs.push_back(own_coeff[i]);
+  }
+  for (uint32_t j = 0; j < walk.opp_size; ++j) {
+    if (cross_coeff[j] == 0.0) continue;
+    form.cross_nodes.push_back(opp_adj.to_original[walk.opp_begin + j]);
+    form.cross_coeffs.push_back(cross_coeff[j]);
+  }
   return form;
 }
 
@@ -267,13 +316,9 @@ Status LinearizedSimRankEngine::Prepare(const BipartiteGraph& graph) {
   std::vector<DiagForm> forms_q(nq);
   std::vector<DiagForm> forms_a(na);
   auto build_forms = [&](bool ad_side, std::vector<DiagForm>* forms) {
-    auto fn = [this, ad_side, forms, nq, na](size_t, size_t begin,
-                                             size_t end) {
-      Scratch scratch;
-      scratch.Resize(ad_side ? na : nq, ad_side ? nq : na);
+    auto fn = [this, ad_side, forms](size_t, size_t begin, size_t end) {
       for (size_t u = begin; u < end; ++u) {
-        (*forms)[u] =
-            BuildDiagForm(ad_side, static_cast<uint32_t>(u), &scratch);
+        (*forms)[u] = BuildDiagForm(ad_side, static_cast<uint32_t>(u));
       }
     };
     if (pool_ == nullptr) {
@@ -295,7 +340,7 @@ Status LinearizedSimRankEngine::Prepare(const BipartiteGraph& graph) {
 }
 
 LinearizedSimRankEngine::SparseRow LinearizedSimRankEngine::RawRow(
-    bool ad_side, uint32_t node, Scratch* scratch) const {
+    bool ad_side, uint32_t node) const {
   const SideAdjacency& own_adj = ad_side ? ad_adj_ : query_adj_;
   const SideAdjacency& opp_adj = ad_side ? query_adj_ : ad_adj_;
   const std::vector<double>& diag_own = ad_side ? diag_ad_ : diag_query_;
@@ -303,85 +348,63 @@ LinearizedSimRankEngine::SparseRow LinearizedSimRankEngine::RawRow(
   const double cross_factor = ad_side ? options_.c2 : options_.c1;
   const double decay = options_.c1 * options_.c2;
 
-  // Forward: w_k = (M^T)^k e_node for k = 0..T, stopping early once the
-  // walk dies out (isolated neighborhoods).
-  std::vector<SparseRow> walk;
-  walk.reserve(options_.linearized_series_depth + 1);
-  walk.push_back({{node, 1.0}});
-  for (size_t k = 0; k < options_.linearized_series_depth; ++k) {
-    WalkStep(own_adj, opp_adj, walk.back(), &scratch->opposite,
-             &scratch->own);
-    if (scratch->own.touched.empty()) break;
-    SparseRow next;
-    scratch->own.CompactInto(&next);
-    walk.push_back(std::move(next));
+  // Forward: w_k = (M^T)^k e_node and t_k = A^T w_k for k = 0..K.
+  Walk walk = ForwardWalk(ad_side, node);
+  const uint32_t own_begin = walk.own_begin;
+  const uint32_t opp_begin = walk.opp_begin;
+  std::vector<double> d_own(walk.own_size);
+  for (uint32_t i = 0; i < walk.own_size; ++i) {
+    d_own[i] = diag_own[own_adj.to_original[own_begin + i]];
+  }
+  std::vector<double> cross_diag(walk.opp_size);
+  for (uint32_t j = 0; j < walk.opp_size; ++j) {
+    cross_diag[j] = cross_factor * diag_opp[opp_adj.to_original[opp_begin + j]];
   }
 
-  // Backward: r <- decay * M r + C w_k for k = T..0 evaluates the
+  // Backward: r <- decay * M r + C w_k for k = K..0 evaluates the
   // truncated series sum_k decay^k M^k C (M^T)^k e_node in Horner form;
   // r ends as the raw score row. C v = D_own ∘ v
   // + cross_factor * A (D_opp ∘ (A^T v)) with A the own side's
-  // row-normalized adjacency. Note M r spreads with TARGET-side degree
-  // factors (M = A B row-normalized per matrix), while A^T v spreads
-  // with source factors — the two loops below differ only in that.
-  WorkVec& r = scratch->result;
-  r.Clear();
-  WorkVec& t = scratch->opposite;
-  for (size_t k = walk.size(); k-- > 0;) {
-    WorkVec& next = scratch->own;
-    next.Clear();
-
-    // decay * M r.
-    t.Clear();
-    for (uint32_t p : r.touched) {
-      double v = r.value[p];
-      if (v == 0.0) continue;
-      for (uint32_t a : own_adj.Neighbors(p)) {
-        t.Add(a, v * opp_adj.inv_degree[a]);
+  // row-normalized adjacency, and A^T w_k is the forward pass's t_k.
+  // Note M r spreads with TARGET-side degree factors (M = A B
+  // row-normalized per matrix), while A^T v spreads with source factors.
+  std::vector<double> r(walk.own_size, 0.0);
+  std::vector<double> next(walk.own_size);
+  std::vector<double> br(walk.opp_size);     // decay * B r, so M r = A br
+  std::vector<double> cross(walk.opp_size);  // cross_factor * D_opp ∘ t_k
+  for (size_t k = walk.steps; k-- > 0;) {
+    const double* t = walk.T(k);
+    for (uint32_t j = 0; j < walk.opp_size; ++j) {
+      const double inv = opp_adj.inv_degree[opp_begin + j];
+      double sum = 0.0;
+      for (uint32_t p : opp_adj.Neighbors(opp_begin + j)) {
+        sum += r[p - own_begin] * inv;
       }
+      br[j] = decay * sum;
+      cross[j] = cross_diag[j] * t[j];
     }
-    t.SortTouched();
-    for (uint32_t a : t.touched) {
-      double v = decay * t.value[a];
-      if (v == 0.0) continue;
-      for (uint32_t q : opp_adj.Neighbors(a)) {
-        next.Add(q, v * own_adj.inv_degree[q]);
-      }
+    // Each target sums decay * M r, then the cross part, then its own
+    // diagonal term D_own ∘ w_k.
+    const double* w = walk.W(k);
+    for (uint32_t i = 0; i < walk.own_size; ++i) {
+      const double inv = own_adj.inv_degree[own_begin + i];
+      std::span<const uint32_t> neighbors = own_adj.Neighbors(own_begin + i);
+      double sum = 0.0;
+      for (uint32_t a : neighbors) sum += br[a - opp_begin] * inv;
+      for (uint32_t a : neighbors) sum += cross[a - opp_begin] * inv;
+      next[i] = sum + d_own[i] * w[i];
     }
-
-    // + C w_k: cross part first (A^T w_k, then D_opp-weighted return
-    // trip), then the own-side diagonal part.
-    t.Clear();
-    for (const ScoredNode& entry : walk[k]) {
-      double spread = entry.score * own_adj.inv_degree[entry.node];
-      if (spread == 0.0) continue;
-      for (uint32_t a : own_adj.Neighbors(entry.node)) t.Add(a, spread);
-    }
-    t.SortTouched();
-    for (uint32_t a : t.touched) {
-      double v = cross_factor * diag_opp[a] * t.value[a];
-      if (v == 0.0) continue;
-      for (uint32_t q : opp_adj.Neighbors(a)) {
-        next.Add(q, v * own_adj.inv_degree[q]);
-      }
-    }
-    for (const ScoredNode& entry : walk[k]) {
-      next.Add(entry.node, diag_own[entry.node] * entry.score);
-    }
-
-    next.SortTouched();
-    // r <- next (vector swaps; the stale buffer is cleared next round).
-    std::swap(scratch->result, scratch->own);
+    std::swap(r, next);
   }
 
   SparseRow row;
-  row.reserve(r.touched.size());
-  for (uint32_t i : r.touched) {
+  const uint32_t self = own_adj.to_new[node] - own_begin;
+  for (uint32_t i = 0; i < walk.own_size; ++i) {
     // The diagonal is implicit 1 everywhere in this codebase; the row
     // carries off-diagonal mass only.
-    if (i == node) continue;
-    double v = r.value[i];
-    if (v > 0.0) row.push_back({i, v});
+    if (i != self && r[i] > 0.0) {
+      row.push_back({own_adj.to_original[own_begin + i], r[i]});
+    }
   }
   return row;
 }
@@ -404,12 +427,9 @@ Status LinearizedSimRankEngine::Run(const BipartiteGraph& graph) {
 
   const double prune = options_.prune_threshold;
   auto materialize = [&](bool ad_side, std::vector<SparseRow>* rows) {
-    auto fn = [this, ad_side, rows, nq, na, prune](size_t, size_t begin,
-                                                   size_t end) {
-      Scratch scratch;
-      scratch.Resize(ad_side ? na : nq, ad_side ? nq : na);
+    auto fn = [this, ad_side, rows, prune](size_t, size_t begin, size_t end) {
       for (size_t u = begin; u < end; ++u) {
-        SparseRow raw = RawRow(ad_side, static_cast<uint32_t>(u), &scratch);
+        SparseRow raw = RawRow(ad_side, static_cast<uint32_t>(u));
         SparseRow& out = (*rows)[u];
         for (const ScoredNode& entry : raw) {
           // Upper-triangle storage: the mirror entry is recovered by the
@@ -509,10 +529,7 @@ Result<std::vector<ScoredNode>> LinearizedSimRankEngine::ScoredRow(
                                            ad_side ? "ad" : "query", node,
                                            n));
   }
-  Scratch scratch;
-  scratch.Resize(ad_side ? graph_->num_ads() : graph_->num_queries(),
-                 ad_side ? graph_->num_queries() : graph_->num_ads());
-  std::vector<ScoredNode> row = RawRow(ad_side, node, &scratch);
+  std::vector<ScoredNode> row = RawRow(ad_side, node);
   size_t kept = 0;
   for (const ScoredNode& entry : row) {
     double score = entry.score * VariantFactor(ad_side, node, entry.node);

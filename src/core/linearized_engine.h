@@ -13,8 +13,8 @@
 /// Prepare() estimates them once with a Jacobi iteration over walk-based
 /// linear forms (parallelized per node on the shared pool); after that a
 /// single node's full score row is a truncated power-series evaluation
-/// costing O(T) sparse matrix-vector products over the node's
-/// neighborhood — no n^2 state anywhere. That is the step past the
+/// costing O(T) matrix-vector products over the node's connected
+/// component — no n^2 state anywhere. That is the step past the
 /// all-pairs precompute ceiling: rows become answerable at serve time
 /// (see OnDemandScorer and the RewriteService on-demand mode).
 ///
@@ -25,7 +25,6 @@
 #ifndef SIMRANKPP_CORE_LINEARIZED_ENGINE_H_
 #define SIMRANKPP_CORE_LINEARIZED_ENGINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -73,89 +72,41 @@ class LinearizedSimRankEngine : public SimRankEngine, public OnDemandScorer {
   std::span<const double> diag_ad() const { return diag_ad_; }
 
  private:
-  /// Flattened one-directional adjacency (opposite-node ids per node),
-  /// plus 1/degree — the walk hot loops never touch edge ids.
+  /// One side of the click graph in component order: ids are renumbered
+  /// so that every connected component is one contiguous id range on
+  /// each side, original order kept inside a component. Since a node's
+  /// neighbours all lie in its component, ascending neighbour order is
+  /// the same in both numberings. The walk loops never touch edge ids.
   struct SideAdjacency {
     std::vector<size_t> offsets;      // n + 1
-    std::vector<uint32_t> neighbors;  // ascending per node
+    std::vector<uint32_t> neighbors;  // opposite-side ids, ascending per node
     std::vector<double> inv_degree;   // n; 0 for isolated nodes
+    std::vector<uint32_t> component;  // n; component of each id
+    std::vector<uint32_t> begin;      // components + 1; first id of each
+    std::vector<uint32_t> to_new;       // original id -> id
+    std::vector<uint32_t> to_original;  // id -> original id
 
     std::span<const uint32_t> Neighbors(uint32_t u) const {
       return {neighbors.data() + offsets[u], offsets[u + 1] - offsets[u]};
     }
   };
 
-  /// One compacted walk iterate w_k: sorted (node, value) pairs.
+  /// A sparse score row: (node, score) pairs ascending by node.
   using SparseRow = std::vector<ScoredNode>;
 
-  /// Dense-value/touched-list sparse vector: O(support) iteration and
-  /// clearing over a reusable O(n) buffer. Touched indices are sorted
-  /// before every read pass so per-node accumulation order — and with it
-  /// the floating-point result — never depends on scheduling.
-  struct WorkVec {
-    std::vector<double> value;
-    std::vector<uint8_t> marked;
-    std::vector<uint32_t> touched;
+  /// A node's forward walk, dense over its component: the iterates
+  /// w_k = (M^T)^k e_node and their opposite-side projections
+  /// t_k = A^T w_k for k = 0..K, K = T unless the walk dies out first.
+  /// Entries are component-relative (id minus the component's first id).
+  struct Walk {
+    uint32_t own_begin = 0, own_size = 0;  // the component's own-side ids
+    uint32_t opp_begin = 0, opp_size = 0;  // and its opposite-side ids
+    size_t steps = 0;                      // K + 1
+    std::vector<double> w;  // (T + 1) x own_size, the first steps filled
+    std::vector<double> t;  // (T + 1) x opp_size, likewise
 
-    void Resize(size_t n) {
-      value.assign(n, 0.0);
-      marked.assign(n, 0);
-      touched.clear();
-    }
-    void Add(uint32_t i, double v) {
-      if (!marked[i]) {
-        marked[i] = 1;
-        touched.push_back(i);
-      }
-      value[i] += v;
-    }
-    void Clear() {
-      for (uint32_t i : touched) {
-        value[i] = 0.0;
-        marked[i] = 0;
-      }
-      touched.clear();
-    }
-    void SortTouched() { std::sort(touched.begin(), touched.end()); }
-
-    /// Appends the nonzero entries in ascending node order; the vector
-    /// itself is left intact (Clear separately).
-    void CompactInto(SparseRow* out) {
-      SortTouched();
-      for (uint32_t i : touched) {
-        if (value[i] != 0.0) out->push_back({i, value[i]});
-      }
-    }
-
-    /// Structure-of-arrays twin of CompactInto: parallel node / value
-    /// vectors, the layout the SIMD gather kernels consume directly.
-    void CompactInto(std::vector<uint32_t>* nodes,
-                     std::vector<double>* values) {
-      SortTouched();
-      for (uint32_t i : touched) {
-        if (value[i] != 0.0) {
-          nodes->push_back(i);
-          values->push_back(value[i]);
-        }
-      }
-    }
-  };
-
-  /// Per-thread scratch for walk propagation. Both-side sized: a query
-  /// row needs query-space iterates and ad-space intermediates (and vice
-  /// versa), so every vector is sized by the side it lives on.
-  struct Scratch {
-    WorkVec own;       // own-side workspace (next walk iterate)
-    WorkVec opposite;  // opposite-side intermediate projection
-    WorkVec result;    // own-side accumulator (backward pass / own coeffs)
-    WorkVec cross;     // opposite-side accumulator (cross diag coeffs)
-
-    void Resize(size_t num_own, size_t num_opposite) {
-      own.Resize(num_own);
-      opposite.Resize(num_opposite);
-      result.Resize(num_own);
-      cross.Resize(num_opposite);
-    }
+    double* W(size_t k) { return w.data() + k * own_size; }
+    double* T(size_t k) { return t.data() + k * opp_size; }
   };
 
   /// The diagonal conditions are LINEAR in (D_q, D_a): the walk iterates
@@ -177,23 +128,18 @@ class LinearizedSimRankEngine : public SimRankEngine, public OnDemandScorer {
   };
 
   /// Rejects unsupported configurations (weighted variant, C1*C2 >= 1)
-  /// and builds the flattened adjacency.
+  /// and builds the component-ordered adjacency.
   Status BindGraph(const BipartiteGraph& graph);
 
-  /// One forward walk step w_{k+1} = (M^T) w_k = opp_adj^T (own_adj^T w_k)
-  /// with row-normalized (source-degree) factors. Leaves the intermediate
-  /// opposite-side projection own_adj^T w_k in `opp_out` — the diagonal
-  /// estimation reads it for the cross coefficients. The adjacency roles
-  /// are side-relative: for a query walk own=query_adj_ / opp=ad_adj_, for
-  /// an ad walk the reverse. Both outputs are cleared, filled, and
-  /// touched-sorted.
-  static void WalkStep(const SideAdjacency& own_adj,
-                       const SideAdjacency& opp_adj, const SparseRow& from,
-                       WorkVec* opp_out, WorkVec* own_out);
+  /// The forward walk of `node` (an original id). Each pass is a dense
+  /// pull over the target side of the component: every target sums its
+  /// neighbours' terms in ascending neighbour order, so every value is
+  /// fixed by the graph alone, whatever the thread count.
+  Walk ForwardWalk(bool ad_side, uint32_t node) const;
 
-  /// Walk-based linear form of one node's diagonal condition.
-  DiagForm BuildDiagForm(bool ad_side, uint32_t node,
-                         Scratch* scratch) const;
+  /// Walk-based linear form of one node's diagonal condition (original
+  /// ids throughout, ascending).
+  DiagForm BuildDiagForm(bool ad_side, uint32_t node) const;
 
   /// Jacobi estimation of diag_query_ / diag_ad_ from the precomputed
   /// linear forms. Returns the final residual max |1 - F_u| and counts
@@ -203,7 +149,7 @@ class LinearizedSimRankEngine : public SimRankEngine, public OnDemandScorer {
 
   /// Raw (pre-evidence) truncated-series row of `node`, entries > 0 in
   /// ascending node order (self excluded).
-  SparseRow RawRow(bool ad_side, uint32_t node, Scratch* scratch) const;
+  SparseRow RawRow(bool ad_side, uint32_t node) const;
 
   /// Variant read semantics (evidence post-multiply where configured).
   double VariantFactor(bool ad_side, uint32_t u, uint32_t v) const;

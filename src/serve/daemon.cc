@@ -833,8 +833,8 @@ void ServeDaemon::Impl::AdmitTopK(Connection* conn, uint32_t request_id,
                            kMaxTopKPerRequest, request.k));
     return;
   }
-  // Existence check against the registry's lock-free read path; the
-  // batch worker re-pins its own generation when it runs.
+  // Existence check against the registry (a pointer copy under its short
+  // lock); the batch worker re-pins its own generation when it runs.
   std::shared_ptr<const Tenant> tenant = registry_->Lookup(request.tenant);
   if (tenant == nullptr) {
     unknown_tenant_->Increment();

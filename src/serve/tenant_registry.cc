@@ -1,6 +1,7 @@
 #include "serve/tenant_registry.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -36,60 +37,48 @@ std::string TenantServeStats::ToString() const {
   return out;
 }
 
-TenantRegistry::TenantRegistry() {
-  table_.store(std::make_shared<const Table>(), std::memory_order_release);
-}
-
-TenantRegistry::~TenantRegistry() {
-  // Break every slot ↔ published-generation cycle (the fold deleters
-  // capture their slots); without this an embedder tearing down the
-  // registry would leak each tenant's graph + scores + service.
-  std::shared_ptr<const Table> table = LoadTable();
-  for (const auto& [name, slot] : *table) {
-    slot->current.store(nullptr, std::memory_order_release);
-  }
-}
-
 std::shared_ptr<const Tenant> TenantRegistry::Lookup(
     const std::string& name) const {
-  std::shared_ptr<const Table> table = LoadTable();
-  auto it = table->find(name);
-  if (it == table->end()) return nullptr;
-  return it->second->current.load(std::memory_order_acquire);
+  MutexLock lock(&mu_);
+  auto it = slots_.find(name);
+  if (it == slots_.end()) return nullptr;
+  return it->second.current;
 }
 
 std::vector<std::string> TenantRegistry::TenantNames() const {
-  std::shared_ptr<const Table> table = LoadTable();
   std::vector<std::string> names;
-  names.reserve(table->size());
-  for (const auto& [name, slot] : *table) names.push_back(name);
+  {
+    MutexLock lock(&mu_);
+    names.reserve(slots_.size());
+    for (const auto& [name, slot] : slots_) names.push_back(name);
+  }
   std::sort(names.begin(), names.end());
   return names;
 }
 
 std::vector<TenantServeStats> TenantRegistry::Stats() const {
-  std::shared_ptr<const Table> table = LoadTable();
+  // Copied under the lock, read after it: the copies pin the serving
+  // generations, and a pin dropped last releases outside the lock.
+  std::vector<std::pair<std::string, Slot>> slots;
+  {
+    MutexLock lock(&mu_);
+    slots.assign(slots_.begin(), slots_.end());
+  }
   std::vector<TenantServeStats> all;
-  all.reserve(table->size());
-  for (const auto& [name, slot] : *table) {
+  all.reserve(slots.size());
+  for (const auto& [name, slot] : slots) {
     TenantServeStats stats;
     stats.tenant = name;
-    std::shared_ptr<const Tenant> tenant =
-        slot->current.load(std::memory_order_acquire);
-    if (tenant != nullptr) {
+    if (slot.current != nullptr) {
       stats.serving = true;
-      stats.generation = tenant->generation;
-      stats.service = tenant->service->Stats();
+      stats.generation = slot.current->generation;
+      stats.service = slot.current->service->Stats();
       stats.queries_served =
-          slot->retired_served.load(std::memory_order_relaxed) +
+          slot.retired_served->load(std::memory_order_relaxed) +
           stats.service.queries_served;
     }
-    std::shared_ptr<const ReloadEvent> event =
-        slot->last_reload.load(std::memory_order_acquire);
-    if (event != nullptr) {
-      stats.last_reload_ok = event->ok;
-      stats.last_reload_message = event->message;
-    }
+    stats.last_reload_ok = slot.last_reload.ok;
+    stats.last_reload_message = slot.last_reload.message;
     all.push_back(std::move(stats));
   }
   std::sort(all.begin(), all.end(),
@@ -99,74 +88,52 @@ std::vector<TenantServeStats> TenantRegistry::Stats() const {
   return all;
 }
 
-size_t TenantRegistry::size() const { return LoadTable()->size(); }
-
-std::shared_ptr<TenantRegistry::Slot> TenantRegistry::GetOrCreateSlotLocked(
-    const std::string& name) {
-  std::shared_ptr<const Table> table = LoadTable();
-  auto it = table->find(name);
-  if (it != table->end()) return it->second;
-  // Copy-on-write: existing slots are carried over by pointer so their
-  // counters and any reader mid-lookup stay valid.
-  auto next = std::make_shared<Table>(*table);
-  auto slot = std::make_shared<Slot>();
-  next->emplace(name, slot);
-  table_.store(std::shared_ptr<const Table>(std::move(next)),
-               std::memory_order_release);
-  return slot;
+size_t TenantRegistry::size() const {
+  MutexLock lock(&mu_);
+  return slots_.size();
 }
 
 void TenantRegistry::Upsert(std::shared_ptr<const Tenant> tenant) {
-  MutexLock lock(&write_mu_);
-  std::shared_ptr<Slot> slot = GetOrCreateSlotLocked(tenant->name);
-  slot->last_reload.store(std::make_shared<const ReloadEvent>(),
-                          std::memory_order_release);
+  // Declared before the lock, so the replaced generation is released
+  // after unlocking.
+  std::shared_ptr<const Tenant> replaced;
+  MutexLock lock(&mu_);
+  Slot& slot = slots_[tenant->name];
+  slot.last_reload = ReloadEvent();
   // The published pointer is an aliasing wrapper whose "deleter" folds
-  // the generation's final served count into the slot when the LAST
-  // reference drops — i.e. after every reader that pinned this
+  // the generation's final served count into the slot's counter when the
+  // LAST reference drops — i.e. after every reader that pinned this
   // generation has finished. Folding at swap time instead would lose the
   // increments of readers still mid-batch on the retired generation.
-  // (`owned` keeps the Tenant alive; `slot` outlives the wrapper by
-  // construction of the capture.)
+  // (`owned` keeps the Tenant alive.)
   std::shared_ptr<const Tenant> owned = std::move(tenant);
   std::shared_ptr<const Tenant> published(
-      owned.get(), [owned, slot](const Tenant*) {
-        slot->retired_served.fetch_add(
-            owned->service->Stats().queries_served,
-            std::memory_order_relaxed);
+      owned.get(),
+      [owned, retired_served = slot.retired_served](const Tenant*) {
+        retired_served->fetch_add(owned->service->Stats().queries_served,
+                                  std::memory_order_relaxed);
       });
-  // Single publication point: after this store every new Lookup sees the
+  // Single publication point: after this swap every new Lookup sees the
   // new generation; in-flight readers finish on the old one.
-  slot->current.exchange(std::move(published), std::memory_order_acq_rel);
+  replaced = std::exchange(slot.current, std::move(published));
 }
 
 bool TenantRegistry::Remove(const std::string& name) {
-  MutexLock lock(&write_mu_);
-  std::shared_ptr<const Table> table = LoadTable();
-  auto it = table->find(name);
-  if (it == table->end()) return false;
-  std::shared_ptr<Slot> slot = it->second;
-  auto next = std::make_shared<Table>(*table);
-  next->erase(name);
-  table_.store(std::shared_ptr<const Table>(std::move(next)),
-               std::memory_order_release);
-  // Break the slot ↔ published-generation cycle: the fold deleter of the
-  // published pointer captures the slot, so leaving it in slot->current
-  // would keep the whole generation (graph, scores, service) alive
-  // forever. Clearing it lets the generation die as soon as the last
-  // reader drops its pin.
-  slot->current.store(nullptr, std::memory_order_release);
+  // Declared before the lock, so the removed generation is released
+  // after unlocking (or once the last reader that pinned it lets go).
+  Table::node_type removed;
+  MutexLock lock(&mu_);
+  auto it = slots_.find(name);
+  if (it == slots_.end()) return false;
+  removed = slots_.extract(it);
   return true;
 }
 
 void TenantRegistry::RecordReloadFailure(const std::string& name,
                                          const Status& status) {
-  MutexLock lock(&write_mu_);
-  std::shared_ptr<Slot> slot = GetOrCreateSlotLocked(name);
-  auto event = std::make_shared<ReloadEvent>();
-  event->ok = false;
-  event->message = status.ToString();
-  slot->last_reload.store(std::move(event), std::memory_order_release);
+  ReloadEvent event{false, status.ToString()};
+  MutexLock lock(&mu_);
+  slots_[name].last_reload = std::move(event);
 }
 
 }  // namespace simrankpp

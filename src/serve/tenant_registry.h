@@ -1,16 +1,18 @@
 /// @file tenant_registry.h
-/// @brief Lock-free-read registry mapping tenant names to immutable
-/// serving state.
+/// @brief Registry mapping tenant names to immutable serving state.
 ///
-/// The serving layer's concurrency contract is RCU-shaped: readers follow
-/// two atomic shared_ptr loads (table → slot → tenant) and then hold a
-/// fully-built, immutable Tenant for as long as they like — an in-flight
+/// The serving layer's concurrency contract is RCU-shaped: a reader copies
+/// the tenant's current shared_ptr under a short lock and then holds a
+/// fully-built, immutable Tenant for as long as it likes — an in-flight
 /// TopKBatch keeps its generation alive through the shared_ptr while a
 /// writer swaps in the next one. Writers (the SnapshotStore) build the
 /// replacement completely off to the side and publish it with a single
-/// atomic store; they never mutate anything a reader can see. Readers
-/// therefore observe either the old or the new generation in full, never
-/// a mix, and never block on a reload in progress.
+/// pointer swap under the same lock; they never mutate anything a reader
+/// can see. Readers therefore observe either the old or the new
+/// generation in full, never a mix. Reads take the lock only to copy a
+/// pointer, so they never wait for a reload's build, and a replaced
+/// generation is released after the lock is dropped, so its teardown
+/// never runs under it either.
 #ifndef SIMRANKPP_SERVE_TENANT_REGISTRY_H_
 #define SIMRANKPP_SERVE_TENANT_REGISTRY_H_
 
@@ -80,16 +82,9 @@ struct TenantServeStats {
   std::string ToString() const;
 };
 
-/// \brief Name → tenant map with lock-free reads and serialized writes.
+/// \brief Name → tenant map; every method is thread-safe.
 class TenantRegistry {
  public:
-  TenantRegistry();
-
-  /// \brief Unpublishes every tenant (see Remove): the published
-  /// pointers' fold deleters capture their slots, so dropping the table
-  /// alone would leave slot ↔ generation reference cycles alive.
-  ~TenantRegistry();
-
   /// \brief Current generation of `name`, or nullptr when absent or not
   /// yet loaded. The returned shared_ptr pins the whole generation
   /// (graph, bids, service) for the caller's lifetime — safe to serve
@@ -105,7 +100,7 @@ class TenantRegistry {
   size_t size() const;
 
   /// \brief Publishes a new generation (insert or replace) with one
-  /// atomic store. The retired generation's served-query count is folded
+  /// pointer swap. The retired generation's served-query count is folded
   /// into the tenant's cumulative counter, and the slot's last-reload
   /// status is set to success.
   void Upsert(std::shared_ptr<const Tenant> tenant);
@@ -127,37 +122,25 @@ class TenantRegistry {
     std::string message;
   };
 
-  // One tenant's mutable cell. The slot object itself is shared between
-  // table generations (a table swap never recreates live slots), so the
-  // cumulative counters survive both reloads and unrelated tenants being
-  // added or removed.
+  // One tenant's cell. `retired_served` is shared with the fold deleters
+  // of the tenant's published generations, so the cumulative count
+  // survives reloads and needs no pointer back to the slot.
   struct Slot {
-    std::atomic<std::shared_ptr<const Tenant>> current{};
-    std::atomic<uint64_t> retired_served{0};
-    std::atomic<std::shared_ptr<const ReloadEvent>> last_reload{};
+    std::shared_ptr<const Tenant> current;
+    ReloadEvent last_reload;
+    std::shared_ptr<std::atomic<uint64_t>> retired_served =
+        std::make_shared<std::atomic<uint64_t>>(0);
   };
 
-  using Table = std::unordered_map<std::string, std::shared_ptr<Slot>>;
+  using Table = std::unordered_map<std::string, Slot>;
 
-  std::shared_ptr<const Table> LoadTable() const {
-    return table_.load(std::memory_order_acquire);
-  }
-
-  // Returns the slot for `name`, creating it (via a copy-on-write table
-  // swap) when absent.
-  std::shared_ptr<Slot> GetOrCreateSlotLocked(const std::string& name)
-      SRPP_REQUIRES(write_mu_);
-
-  /// RCU-published: readers load with acquire and never block; the
-  /// store side (a release store of a freshly-built COW table) is
-  /// serialized by write_mu_. Not SRPP_GUARDED_BY — lock-free reads are
-  /// the point — the acquire/release pairing is the contract instead,
-  /// and tools/lint_invariants.py rejects any relaxed-order operation
-  /// on it.
-  std::atomic<std::shared_ptr<const Table>> table_;
-  /// Serializes table swaps and generation publishes; never taken on the
-  /// read path.
-  mutable Mutex write_mu_;
+  /// Guards `slots_`. Held only to copy or swap pointers: no build, fold
+  /// or teardown runs under it. A mutex rather than
+  /// std::atomic<std::shared_ptr>: libstdc++ 12 unlocks that type's load
+  /// with relaxed order, which ThreadSanitizer reports as a race against
+  /// a concurrent swap.
+  mutable Mutex mu_;
+  Table slots_ SRPP_GUARDED_BY(mu_);
 };
 
 }  // namespace simrankpp
