@@ -71,6 +71,12 @@ constexpr const char* kRequestsHelp =
 // complete, so the backlog overshoots the cap by at most their replies.
 constexpr size_t kMaxUnsentOutputBytes = size_t{1} << 20;
 
+// How long the listener stays paused after accept4 ran out of file
+// descriptors when no connection closes in the meantime (a close re-arms
+// it at once). Bounds the retry rate while the process is at its fd
+// limit; the waiting clients queue in the kernel backlog.
+constexpr double kAcceptRetrySeconds = 0.1;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -250,6 +256,7 @@ class ServeDaemon::Impl {
 
   void IoLoop();
   void AcceptAll();
+  void SetAcceptArmed(bool armed);
   void OnReadable(Connection* conn);
   void ParseFrames(Connection* conn);
   void HandleFrame(Connection* conn, const FrameHeader& header,
@@ -339,6 +346,10 @@ class ServeDaemon::Impl {
   // reach connection state).
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   uint64_t next_serial_ = 1;
+  // Set while the listener's EPOLLIN is off after an fd-limit accept
+  // failure; accept_retry_at_ is when the IO loop re-arms it.
+  bool accept_paused_ = false;
+  double accept_retry_at_ = 0.0;
 
   Mutex states_mu_;
   // Values are stable pointers: a TenantState is never destroyed while
@@ -359,6 +370,8 @@ class ServeDaemon::Impl {
   // thread starts; incrementing is one relaxed atomic add).
   Counter* connections_accepted_ = nullptr;
   Counter* connections_refused_ = nullptr;
+  Counter* accept_fd_limit_ = nullptr;
+  Counter* accept_other_errors_ = nullptr;
   Counter* frames_received_ = nullptr;
   Counter* bad_frames_ = nullptr;
   Counter* bad_requests_ = nullptr;
@@ -391,6 +404,12 @@ Status ServeDaemon::Impl::Boot() {
   connections_refused_ = metrics_.GetCounter(
       "srpp_connections_total", "Connections by accept outcome.",
       {{"result", "refused"}});
+  accept_fd_limit_ = metrics_.GetCounter(
+      "srpp_accept_errors_total", "Failed accept calls by cause.",
+      {{"reason", "fd_limit"}});
+  accept_other_errors_ = metrics_.GetCounter(
+      "srpp_accept_errors_total", "Failed accept calls by cause.",
+      {{"reason", "other"}});
   frames_received_ = metrics_.GetCounter("srpp_frames_total",
                                          "Complete frames parsed.");
   bad_frames_ = metrics_.GetCounter(
@@ -609,14 +628,21 @@ void ServeDaemon::Impl::IoLoop() {
   for (;;) {
     // Blocking normally; short timeout during drain so the final
     // work-count decrement (which deliberately happens without a wake)
-    // is observed promptly.
-    int timeout_ms = draining_.load() ? 5 : -1;
+    // is observed promptly, and while the listener is paused so it is
+    // re-armed on time.
+    int timeout_ms = draining_.load() ? 5
+                     : accept_paused_
+                         ? static_cast<int>(kAcceptRetrySeconds * 1000)
+                         : -1;
     int n = epoll_wait(epoll_fd_, events.data(),
                        static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       exit_code_.store(1);
       break;
+    }
+    if (accept_paused_ && NowSeconds() >= accept_retry_at_) {
+      SetAcceptArmed(true);
     }
     for (int i = 0; i < n; ++i) {
       int fd = events[i].data.fd;
@@ -662,7 +688,18 @@ void ServeDaemon::Impl::AcceptAll() {
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // EAGAIN or a transient accept failure
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // The pending connection stays queued and the level-triggered
+        // listener stays readable: without the pause, epoll_wait would
+        // return at once, forever.
+        accept_fd_limit_->Increment();
+        SetAcceptArmed(false);
+      } else {
+        accept_other_errors_->Increment();
+      }
+      break;
     }
     if (draining_.load() || connections_.size() >= options_.max_connections) {
       close(fd);
@@ -685,6 +722,18 @@ void ServeDaemon::Impl::AcceptAll() {
     connections_.emplace(fd, std::move(conn));
     connections_accepted_->Increment();
   }
+}
+
+// Turns the listener's EPOLLIN on or off. Off schedules the re-arm
+// kAcceptRetrySeconds out; CloseConnection re-arms sooner.
+void ServeDaemon::Impl::SetAcceptArmed(bool armed) {
+  accept_paused_ = !armed;
+  if (!armed) accept_retry_at_ = NowSeconds() + kAcceptRetrySeconds;
+  if (listen_fd_ < 0) return;  // closed by BeginDrain
+  epoll_event event{};
+  event.events = armed ? EPOLLIN : 0u;
+  event.data.fd = listen_fd_;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &event);
 }
 
 void ServeDaemon::Impl::OnReadable(Connection* conn) {
@@ -976,6 +1025,7 @@ void ServeDaemon::Impl::CloseConnection(int fd) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   close(fd);
   connections_.erase(it);
+  if (accept_paused_) SetAcceptArmed(true);  // one fd just came free
 }
 
 void ServeDaemon::Impl::BeginDrain() {

@@ -7,8 +7,8 @@
 /// little-endian fixed width; doubles travel as their IEEE-754 bit
 /// pattern, so a response compares bit-identical to the serving matrix.
 /// The encode/decode helpers here are the single implementation shared by
-/// the daemon, the loadgen client harness, the protocol tests, and the
-/// frame-header fuzzer — there is no second parser to drift.
+/// the daemon, the protocol client (bench/loadgen.h), the protocol tests,
+/// and the frame-header fuzzer — there is no second parser to drift.
 #ifndef SIMRANKPP_SERVE_PROTOCOL_H_
 #define SIMRANKPP_SERVE_PROTOCOL_H_
 

@@ -163,8 +163,8 @@ double HistogramSnapshot::ApproxQuantile(double q) const {
   for (uint64_t c : counts) total += c;
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-th observation (1-based, ceil like the exact-quantile
-  // convention in SummaryStats).
+  // Nearest rank: the q-quantile is the ceil(q * total)-th observation
+  // (1-based, at least the 1st).
   uint64_t rank = static_cast<uint64_t>(std::ceil(q * total));
   if (rank == 0) rank = 1;
   uint64_t seen = 0;

@@ -1,4 +1,4 @@
-// serve-daemon tests: wire-protocol round-trips, malformed/truncated/
+// serve-daemon tests: TopK round-trips over TCP, malformed/truncated/
 // oversized frame handling (one poisoned connection never disturbs its
 // neighbors), per-tenant admission control (unknown tenant, rate limit,
 // queue shedding), TopK micro-batch coalescing, network-triggered hot
@@ -160,94 +160,6 @@ std::vector<TopKItem> ExpectedItems(const ServeDaemon& daemon,
     items.push_back(TopKItem{candidate.text, candidate.score});
   }
   return items;
-}
-
-// ------------------------------------------------ protocol round-trips
-
-TEST(DaemonProtocolTest, FrameHeaderRoundTrips) {
-  std::string frame;
-  AppendEmptyFrame(FrameType::kPingRequest, WireCode::kOk, 0xdeadbeef,
-                   &frame);
-  ASSERT_EQ(frame.size(), kFrameHeaderBytes);
-  FrameHeader header;
-  ASSERT_EQ(DecodeFrameHeader(frame, kMaxFramePayloadBytes, &header),
-            FrameDecode::kOk);
-  EXPECT_EQ(header.type, static_cast<uint8_t>(FrameType::kPingRequest));
-  EXPECT_EQ(header.code, 0u);
-  EXPECT_EQ(header.payload_bytes, 0u);
-  EXPECT_EQ(header.request_id, 0xdeadbeefu);
-}
-
-TEST(DaemonProtocolTest, TopKRequestRoundTrips) {
-  TopKRequest request{"tenant-x", "a query with spaces", 17};
-  std::string frame;
-  AppendTopKRequestFrame(request, 7, &frame);
-  FrameHeader header;
-  ASSERT_EQ(DecodeFrameHeader(frame, kMaxFramePayloadBytes, &header),
-            FrameDecode::kOk);
-  ASSERT_EQ(frame.size(), kFrameHeaderBytes + header.payload_bytes);
-  TopKRequest decoded;
-  ASSERT_TRUE(ParseTopKRequestPayload(
-      std::string_view(frame).substr(kFrameHeaderBytes), &decoded));
-  EXPECT_EQ(decoded, request);
-}
-
-TEST(DaemonProtocolTest, TopKResponseScoresAreBitExact) {
-  // Scores chosen to have awkward bit patterns; the wire carries the
-  // IEEE-754 bits verbatim, so equality must be exact, not approximate.
-  std::vector<TopKItem> items = {
-      {"first", 0.1 + 0.2},
-      {"second", 1.0 / 3.0},
-      {"third", 5e-324},  // smallest subnormal
-  };
-  std::string frame;
-  AppendTopKResponseFrame(99, items, &frame);
-  FrameHeader header;
-  ASSERT_EQ(DecodeFrameHeader(frame, kMaxFramePayloadBytes, &header),
-            FrameDecode::kOk);
-  std::vector<TopKItem> decoded;
-  ASSERT_TRUE(ParseTopKResponsePayload(
-      std::string_view(frame).substr(kFrameHeaderBytes), &decoded));
-  EXPECT_EQ(decoded, items);
-}
-
-TEST(DaemonProtocolTest, HeaderRejectionsClassify) {
-  FrameHeader header;
-  EXPECT_EQ(DecodeFrameHeader("short", kMaxFramePayloadBytes, &header),
-            FrameDecode::kNeedMoreData);
-
-  std::string frame;
-  AppendEmptyFrame(FrameType::kPingRequest, WireCode::kOk, 1, &frame);
-  std::string bad_magic = frame;
-  bad_magic[0] = 'X';
-  EXPECT_EQ(DecodeFrameHeader(bad_magic, kMaxFramePayloadBytes, &header),
-            FrameDecode::kBadMagic);
-
-  std::string bad_flags = frame;
-  bad_flags[5] = 0x01;
-  EXPECT_EQ(DecodeFrameHeader(bad_flags, kMaxFramePayloadBytes, &header),
-            FrameDecode::kBadFlags);
-
-  std::string oversized = frame;
-  oversized[8] = static_cast<char>(0xff);  // payload_bytes low byte
-  oversized[11] = static_cast<char>(0x7f);  // ... and a huge high byte
-  EXPECT_EQ(DecodeFrameHeader(oversized, kMaxFramePayloadBytes, &header),
-            FrameDecode::kOversized);
-}
-
-TEST(DaemonProtocolTest, TruncatedPayloadsParseFalse) {
-  TopKRequest request{"tenant", "query", 5};
-  std::string frame;
-  AppendTopKRequestFrame(request, 1, &frame);
-  std::string_view payload = std::string_view(frame).substr(kFrameHeaderBytes);
-  TopKRequest decoded;
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_FALSE(ParseTopKRequestPayload(payload.substr(0, len), &decoded))
-        << "truncation at " << len << " bytes parsed";
-  }
-  // Trailing garbage must be rejected too.
-  EXPECT_FALSE(
-      ParseTopKRequestPayload(std::string(payload) + "x", &decoded));
 }
 
 // ------------------------------------------------------- basic serving
@@ -758,12 +670,12 @@ TEST(ServeDaemonTest, MetricsHttpEndpointServesScrapeAndHealth) {
   EXPECT_NE(
       scrape.find("srpp_requests_total{tenant=\"beta\",code=\"ok\"} 1"),
       std::string::npos);
-  // All five stage series appear once a request has been served.
-  std::map<std::string, loadgen::StageSample> stages =
-      loadgen::ParseStageSamples(scrape);
-  EXPECT_EQ(stages.size(), 5u);
-  for (const auto& [stage, sample] : stages) {
-    EXPECT_EQ(sample.count, 1u) << stage;
+  // Every stage series counts the one request served.
+  for (int s = 0; s < kNumTraceStages; ++s) {
+    std::string series =
+        std::string("\nsrpp_stage_duration_seconds_count{stage=\"") +
+        TraceStageName(static_cast<TraceStage>(s)) + "\"} 1\n";
+    EXPECT_NE(scrape.find(series), std::string::npos) << series;
   }
 
   // The default daemon (metrics_port = -1) has no listener.
@@ -798,12 +710,17 @@ TEST(ServeDaemonTest, StageSpansTileTheRequestWallTime) {
   }
   // The per-stage histograms and the total histogram are fed from the
   // same traces, so their sums must agree.
-  std::map<std::string, loadgen::StageSample> stages =
-      loadgen::ParseStageSamples(daemon->metrics_registry().PrometheusText());
-  ASSERT_EQ(stages.size(), 5u);
-  double stage_sum = 0.0;
-  for (const auto& [stage, sample] : stages) stage_sum += sample.sum_seconds;
   MetricsSnapshot snapshot = daemon->metrics_registry().Snapshot();
+  double stage_sum = 0.0;
+  for (int s = 0; s < kNumTraceStages; ++s) {
+    const MetricPoint* stage = snapshot.Find(
+        "srpp_stage_duration_seconds",
+        {{"stage", TraceStageName(static_cast<TraceStage>(s))}});
+    ASSERT_NE(stage, nullptr) << s;
+    ASSERT_TRUE(stage->histogram.has_value());
+    EXPECT_EQ(stage->histogram->count, 1u) << s;
+    stage_sum += stage->histogram->sum;
+  }
   const MetricPoint* total = snapshot.Find("srpp_request_duration_seconds");
   ASSERT_NE(total, nullptr);
   ASSERT_TRUE(total->histogram.has_value());
@@ -908,6 +825,11 @@ TEST(ServeDaemonTest, NonReadingClientIsPausedWhileOthersAreServed) {
     return daemon->metrics_registry().Snapshot().Value(
         "srpp_backpressure_total");
   };
+  // At most half the queue bound is ever pipelined, so nothing is shed
+  // even when the batch workers fall behind the IO thread's reads (a shed
+  // reply would overtake the queued ones). The pause needs far fewer.
+  const uint32_t max_pipelined =
+      static_cast<uint32_t>(options.max_queue_per_tenant / 2);
   uint32_t requests = 0;
   std::string unsent;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -915,6 +837,10 @@ TEST(ServeDaemonTest, NonReadingClientIsPausedWhileOthersAreServed) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "no pause after " << requests << " pipelined requests";
     if (unsent.empty()) {
+      if (requests >= max_pipelined) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
+      }
       for (int i = 0; i < 16; ++i) {
         AppendTopKRequestFrame(TopKRequest{"alpha", query, 100}, ++requests,
                                &unsent);

@@ -65,6 +65,12 @@ const SampleGraphCase kSampleGraphs[] = {
     {"k33", &MakeK33},
 };
 
+// Without it gtest prints the struct's bytes, pointers included, into the
+// test's listed name, which then changes with every address layout.
+void PrintTo(const SampleGraphCase& graph_case, std::ostream* os) {
+  *os << graph_case.label;
+}
+
 class SampleGraphAgreementTest
     : public ::testing::TestWithParam<SampleGraphCase> {};
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <set>
+#include <tuple>
 
 #include "core/closed_form.h"
 #include "core/dense_engine.h"
@@ -18,6 +19,30 @@
 #include "graph/graph_builder.h"
 
 namespace simrankpp {
+
+// Parameter printers for the listed test names. They live in the
+// enum's namespace so gtest finds them by argument-dependent lookup;
+// without them it prints the enum's bytes and the engine name's pointer.
+void PrintTo(SimRankVariant variant, std::ostream* os) {
+  switch (variant) {
+    case SimRankVariant::kSimRank:
+      *os << "simrank";
+      return;
+    case SimRankVariant::kEvidence:
+      *os << "evidence";
+      return;
+    case SimRankVariant::kWeighted:
+      *os << "weighted";
+      return;
+  }
+}
+
+void PrintTo(const std::tuple<const char*, SimRankVariant>& engine_variant,
+             std::ostream* os) {
+  *os << std::get<0>(engine_variant) << "_";
+  PrintTo(std::get<1>(engine_variant), os);
+}
+
 namespace {
 
 SimRankOptions PaperOptions(size_t iterations = 7) {
@@ -79,6 +104,12 @@ struct IterationCase {
   size_t iterations;
   double k22_expected;  // sim("camera", "digital camera")
 };
+
+// Without it gtest prints the struct's bytes, padding included, into the
+// test's listed name, which then differs between build types.
+void PrintTo(const IterationCase& iteration_case, std::ostream* os) {
+  *os << iteration_case.iterations << "_iterations";
+}
 
 class Table3Test : public ::testing::TestWithParam<IterationCase> {};
 

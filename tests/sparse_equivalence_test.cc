@@ -331,8 +331,7 @@ std::vector<Config> AllConfigs() {
   return configs;
 }
 
-std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
-  const Config& c = info.param;
+std::string ConfigName(const Config& c) {
   std::string name;
   switch (c.variant) {
     case SimRankVariant::kSimRank:
@@ -350,8 +349,17 @@ std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
   return name;
 }
 
+// Without it gtest prints the struct's bytes, padding included, into the
+// test's listed name, which then differs between build types.
+void PrintTo(const Config& config, std::ostream* os) {
+  *os << ConfigName(config);
+}
+
 INSTANTIATE_TEST_SUITE_P(VariantsThreadsIncremental, SparseEquivalenceTest,
-                         ::testing::ValuesIn(AllConfigs()), ConfigName);
+                         ::testing::ValuesIn(AllConfigs()),
+                         [](const auto& info) {
+                           return ConfigName(info.param);
+                         });
 
 // The partner cap interacts with delta-skipping (skipped pairs must be
 // reused from the PRE-cap result, a pair's own cap removal must not

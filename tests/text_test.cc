@@ -28,6 +28,12 @@ struct StemCase {
   const char* stem;
 };
 
+// Without it gtest prints the struct's bytes, pointers included, into the
+// test's listed name, which then changes with every address layout.
+void PrintTo(const StemCase& stem_case, std::ostream* os) {
+  *os << stem_case.word << "_" << stem_case.stem;
+}
+
 class PorterStemmerTest : public ::testing::TestWithParam<StemCase> {};
 
 TEST_P(PorterStemmerTest, MatchesReference) {

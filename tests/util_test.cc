@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: Status/Result, RNG, Zipf sampling,
-// string helpers, table/CSV rendering, thread pool, statistics.
+// string helpers, table/CSV rendering, thread pool, stopwatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "util/summary_stats.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
 #include "util/zipf.h"
@@ -527,65 +526,6 @@ TEST(ThreadPoolTest, StressManyConcurrentAndNestedBatches) {
   for (int i = 0; i < 3; ++i) callers.emplace_back(hammer, 40);
   for (auto& t : callers) t.join();
   EXPECT_EQ(total.load(), 3 * expected);
-}
-
-// ----------------------------------------------------------------- Stats
-
-TEST(SummaryStatsTest, MomentsOfKnownSequence) {
-  SummaryStats stats;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.Add(x);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 4.0);  // classic example set
-  EXPECT_DOUBLE_EQ(stats.stddev(), 2.0);
-  EXPECT_EQ(stats.min(), 2.0);
-  EXPECT_EQ(stats.max(), 9.0);
-}
-
-TEST(SummaryStatsTest, QuantilesWithKeptSamples) {
-  SummaryStats stats(/*keep_samples=*/true);
-  for (int i = 1; i <= 100; ++i) stats.Add(static_cast<double>(i));
-  EXPECT_NEAR(stats.Quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(stats.Quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(stats.Quantile(0.5), 50.5, 1e-9);
-}
-
-TEST(SummaryStatsTest, EmptyReadsZeroNotNaN) {
-  SummaryStats stats(/*keep_samples=*/true);
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_EQ(stats.sum(), 0.0);
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.variance(), 0.0);
-  EXPECT_EQ(stats.stddev(), 0.0);
-  EXPECT_EQ(stats.Quantile(0.5), 0.0);
-}
-
-TEST(SummaryStatsTest, QuantileInterpolatesBetweenOrderStatisticsAndClampsQ) {
-  SummaryStats stats(/*keep_samples=*/true);
-  for (double x : {40.0, 10.0, 30.0, 20.0}) stats.Add(x);  // unsorted
-  // Position q*(n-1) over the sorted samples {10, 20, 30, 40}.
-  EXPECT_DOUBLE_EQ(stats.Quantile(1.0 / 3.0), 20.0);
-  EXPECT_DOUBLE_EQ(stats.Quantile(0.5), 25.0);
-  EXPECT_DOUBLE_EQ(stats.Quantile(0.75), 32.5);
-  // q outside [0, 1] clamps to the extremes.
-  EXPECT_DOUBLE_EQ(stats.Quantile(-1.0), 10.0);
-  EXPECT_DOUBLE_EQ(stats.Quantile(2.0), 40.0);
-  EXPECT_EQ(stats.min(), 10.0);
-  EXPECT_EQ(stats.max(), 40.0);
-}
-
-TEST(SummaryStatsTest, SamplesAddedAfterAQuantileAreSeen) {
-  SummaryStats stats(/*keep_samples=*/true);
-  for (double x : {5.0, 6.0, 7.0}) stats.Add(x);
-  EXPECT_DOUBLE_EQ(stats.Quantile(0.0), 5.0);
-  // The sorted cache from the first read must not hide new samples.
-  stats.Add(1.0);
-  stats.Add(9.0);
-  EXPECT_DOUBLE_EQ(stats.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(stats.Quantile(0.5), 6.0);
-  EXPECT_DOUBLE_EQ(stats.Quantile(1.0), 9.0);
-  EXPECT_EQ(stats.count(), 5u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.6);
 }
 
 // --------------------------------------------------------------- Stopwatch
