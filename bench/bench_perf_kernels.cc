@@ -1,7 +1,7 @@
 // SIMD kernel micro-benchmark: every kernel in src/util/simd/ timed at
-// the scalar reference level and at the runtime-dispatched level (plus
-// the fast-math table), across lengths that exercise both the full
-// 8-lane blocks and the positional tails. The per-kernel speedup lines
+// the scalar reference level and at the runtime-dispatched level, across
+// lengths that exercise both the full 8-lane blocks and the positional
+// tails. The per-kernel speedup lines
 // at the end are what the PR-9 acceptance gate reads (dense-gather and
 // intersection must clear 1.5x at AVX2+); the JSON cases feed the
 // committed BENCH_*.json baseline like every other perf bench.
@@ -93,14 +93,9 @@ int Main(int argc, char** argv) {
   const simd::KernelTable* scalar =
       simd::KernelsFor(simd::SimdLevel::kScalar);
   const simd::KernelTable& dispatched = simd::ActiveKernels();
-  const simd::KernelTable& dispatched_fast =
-      simd::ActiveKernels(/*fast_math=*/true);
   std::vector<LevelUnderTest> levels;
   levels.push_back({"scalar", scalar});
   if (&dispatched != scalar) levels.push_back({dispatched.name, &dispatched});
-  if (&dispatched_fast != &dispatched && &dispatched_fast != scalar) {
-    levels.push_back({dispatched_fast.name, &dispatched_fast});
-  }
 
   // Lengths cover sub-block tails (7), one exact block (8), a block+tail
   // mix (130), and engine-realistic rows. Total gathered elements per

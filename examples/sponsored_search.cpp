@@ -1,6 +1,6 @@
 // Sponsored-search front-end demo (the Figure 2 architecture): generate a
 // synthetic click log, build a RewriteService that computes weighted
-// SimRank through the engine registry, and serve query rewrites against a
+// SimRank through the sparse engine, and serve query rewrites against a
 // bid database — then show, for a handful of live queries, the rewrites
 // and which of them carry active bids.
 //

@@ -47,19 +47,14 @@ Status DenseSimRankEngine::Run(const BipartiteGraph& graph) {
   for (size_t a = 0; a < na; ++a) ad_scores_[a * na + a] = 1.0;
 
   stats_ = SimRankStats();
-  stats_.simd_level = simd::ActiveKernels(options_.fast_math).name;
-  size_t threads = ResolveThreadCount(options_.num_threads);
-  // Borrow the process-wide pool for the whole run, capped at `threads`
-  // participants: spawning threads per Run would cost more than the row
-  // updates themselves on small graphs, and a service computing several
-  // engines concurrently keeps one fixed set of workers. threads_used
-  // reports what can actually participate: the caller plus at most the
-  // pool's workers, never more than the request. The pool is claimed
-  // before the evidence precomputation so that sweep parallelizes too.
-  max_participants_ = threads;
-  pool_ = threads > 1 ? &SharedThreadPool() : nullptr;
-  stats_.threads_used =
-      pool_ == nullptr ? 1 : std::min(threads, pool_->num_threads() + 1);
+  stats_.simd_level = simd::ActiveKernels().name;
+  // Borrow the process-wide pool, capped at the requested thread count:
+  // spawning threads per Run would cost more than the row updates
+  // themselves on small graphs, and a service computing several engines
+  // concurrently keeps one fixed set of workers. The cap is set before
+  // the evidence precomputation so that sweep parallelizes too.
+  max_participants_ = ResolveThreadCount(options_.num_threads);
+  stats_.threads_used = SharedThreadPool().Participants(max_participants_);
 
   if (options_.variant != SimRankVariant::kSimRank) {
     ComputeEvidenceMatrices(graph);
@@ -103,7 +98,6 @@ Status DenseSimRankEngine::Run(const BipartiteGraph& graph) {
       break;
     }
   }
-  pool_ = nullptr;
 
   size_t query_pairs = 0;
   for (size_t count : row_pairs_q) query_pairs += count;
@@ -166,17 +160,11 @@ void DenseSimRankEngine::ComputeEvidenceMatrices(const BipartiteGraph& graph) {
     }
   };
 
-  if (pool_ == nullptr) {
-    count_query_rows(0, nq_);
-    count_ad_rows(0, na_);
-    evidence_query_rows(0, nq_);
-    evidence_ad_rows(0, na_);
-  } else {
-    pool_->ParallelFor(nq_, count_query_rows, max_participants_);
-    pool_->ParallelFor(na_, count_ad_rows, max_participants_);
-    pool_->ParallelFor(nq_, evidence_query_rows, max_participants_);
-    pool_->ParallelFor(na_, evidence_ad_rows, max_participants_);
-  }
+  ThreadPool& pool = SharedThreadPool();
+  pool.ParallelFor(nq_, count_query_rows, max_participants_);
+  pool.ParallelFor(na_, count_ad_rows, max_participants_);
+  pool.ParallelFor(nq_, evidence_query_rows, max_participants_);
+  pool.ParallelFor(na_, evidence_ad_rows, max_participants_);
 }
 
 double DenseSimRankEngine::IterateOnce(const BipartiteGraph& graph,
@@ -185,7 +173,7 @@ double DenseSimRankEngine::IterateOnce(const BipartiteGraph& graph,
   const bool weighted = options_.variant == SimRankVariant::kWeighted;
   // One table lookup per iteration; the table is an immutable static, so
   // sharing the reference across the pool's workers is safe.
-  const simd::KernelTable& kern = simd::ActiveKernels(options_.fast_math);
+  const simd::KernelTable& kern = simd::ActiveKernels();
   // Base of the flat neighbor arrays, for translating a node's neighbor
   // span into an offset within the parallel flat weight arrays.
   const AdId* q_neigh_base =
@@ -317,17 +305,11 @@ double DenseSimRankEngine::IterateOnce(const BipartiteGraph& graph,
 
   // Each task writes disjoint rows of its output and the per-row delta
   // and nonzero-count slots, so any chunking yields bit-identical results.
-  if (pool_ == nullptr) {
-    compute_t_rows(0, nq_);
-    compute_u_rows(0, na_);
-    compute_query_rows(0, nq_);
-    compute_ad_rows(0, na_);
-  } else {
-    pool_->ParallelFor(nq_, compute_t_rows, max_participants_);
-    pool_->ParallelFor(na_, compute_u_rows, max_participants_);
-    pool_->ParallelFor(nq_, compute_query_rows, max_participants_);
-    pool_->ParallelFor(na_, compute_ad_rows, max_participants_);
-  }
+  ThreadPool& pool = SharedThreadPool();
+  pool.ParallelFor(nq_, compute_t_rows, max_participants_);
+  pool.ParallelFor(na_, compute_u_rows, max_participants_);
+  pool.ParallelFor(nq_, compute_query_rows, max_participants_);
+  pool.ParallelFor(na_, compute_ad_rows, max_participants_);
 
   query_scores_ = std::move(new_query);
   ad_scores_ = std::move(new_ad);

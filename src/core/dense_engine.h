@@ -14,8 +14,6 @@
 
 namespace simrankpp {
 
-class ThreadPool;
-
 /// \brief Reference SimRank engine; exact, quadratic memory.
 ///
 /// Refuses graphs whose score matrices would exceed ~1 GiB; use the sparse
@@ -49,10 +47,8 @@ class DenseSimRankEngine : public SimRankEngine {
   SimRankOptions options_;
   SimRankStats stats_;
   const BipartiteGraph* graph_ = nullptr;
-  // The process-wide shared pool, borrowed for the duration of Run() with
-  // at most max_participants_ threads; null when running single-threaded.
-  ThreadPool* pool_ = nullptr;
-  size_t max_participants_ = 0;
+  // Threads (the caller included) that Run() may use on the shared pool.
+  size_t max_participants_ = 1;
 
   size_t nq_ = 0;
   size_t na_ = 0;

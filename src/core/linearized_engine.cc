@@ -231,7 +231,7 @@ double LinearizedSimRankEngine::EstimateDiagonals(
   // products over the SoA forms, run through the SIMD dense-gather kernel
   // (8-lane deterministic order; the table is an immutable static, safe
   // to share across the pool's workers).
-  const simd::KernelTable& kern = simd::ActiveKernels(options_.fast_math);
+  const simd::KernelTable& kern = simd::ActiveKernels();
   auto sweep_side = [&](const std::vector<DiagForm>& forms,
                         const std::vector<double>& d_own,
                         const std::vector<double>& d_opp,
@@ -255,12 +255,8 @@ double LinearizedSimRankEngine::EstimateDiagonals(
         (*next)[u] = std::clamp(d_own[u] + violation / form.alpha, 0.0, 1.0);
       }
     };
-    if (pool_ == nullptr) {
-      ThreadPool::SerialForChunked(forms.size(), kSweepChunks, fn);
-    } else {
-      pool_->ParallelForChunked(forms.size(), kSweepChunks, fn,
-                                max_participants_);
-    }
+    SharedThreadPool().ParallelForChunked(forms.size(), kSweepChunks, fn,
+                                          max_participants_);
   };
 
   // Cross-side Gauss-Seidel: the ad half-sweep reads the query diagonals
@@ -296,14 +292,11 @@ Status LinearizedSimRankEngine::Prepare(const BipartiteGraph& graph) {
   SRPP_RETURN_NOT_OK(BindGraph(graph));
 
   stats_ = SimRankStats();
-  stats_.simd_level = simd::ActiveKernels(options_.fast_math).name;
-  size_t threads = ResolveThreadCount(options_.num_threads);
+  stats_.simd_level = simd::ActiveKernels().name;
   // Same pool discipline as the other engines: borrow the process-wide
-  // pool capped at `threads` participants, released before returning.
-  max_participants_ = threads;
-  pool_ = threads > 1 ? &SharedThreadPool() : nullptr;
-  stats_.threads_used =
-      pool_ == nullptr ? 1 : std::min(threads, pool_->num_threads() + 1);
+  // pool, capped at the requested thread count, for Prepare and Run.
+  max_participants_ = ResolveThreadCount(options_.num_threads);
+  stats_.threads_used = SharedThreadPool().Participants(max_participants_);
 
   size_t nq = graph.num_queries();
   size_t na = graph.num_ads();
@@ -321,19 +314,14 @@ Status LinearizedSimRankEngine::Prepare(const BipartiteGraph& graph) {
         (*forms)[u] = BuildDiagForm(ad_side, static_cast<uint32_t>(u));
       }
     };
-    if (pool_ == nullptr) {
-      ThreadPool::SerialForChunked(forms->size(), kSweepChunks, fn);
-    } else {
-      pool_->ParallelForChunked(forms->size(), kSweepChunks, fn,
-                                max_participants_);
-    }
+    SharedThreadPool().ParallelForChunked(forms->size(), kSweepChunks, fn,
+                                          max_participants_);
   };
   build_forms(/*ad_side=*/false, &forms_q);
   build_forms(/*ad_side=*/true, &forms_a);
 
   stats_.last_delta = EstimateDiagonals(forms_q, forms_a);
 
-  pool_ = nullptr;
   prepared_ = true;
   stats_.elapsed_seconds = timer.ElapsedSeconds();
   return Status::OK();
@@ -418,13 +406,8 @@ Status LinearizedSimRankEngine::Run(const BipartiteGraph& graph) {
   rows_query_.assign(nq, {});
   rows_ad_.assign(na, {});
 
-  // Re-borrow the pool (Prepare released it) for the row loop. Every row
-  // lands in its own slot and each row's computation is self-contained,
-  // so exports are bit-identical for any thread count.
-  size_t threads = ResolveThreadCount(options_.num_threads);
-  max_participants_ = threads;
-  pool_ = threads > 1 ? &SharedThreadPool() : nullptr;
-
+  // Every row lands in its own slot and each row's computation is
+  // self-contained, so exports are bit-identical for any thread count.
   const double prune = options_.prune_threshold;
   auto materialize = [&](bool ad_side, std::vector<SparseRow>* rows) {
     auto fn = [this, ad_side, rows, prune](size_t, size_t begin, size_t end) {
@@ -439,16 +422,11 @@ Status LinearizedSimRankEngine::Run(const BipartiteGraph& graph) {
         out.shrink_to_fit();
       }
     };
-    if (pool_ == nullptr) {
-      ThreadPool::SerialForChunked(rows->size(), kSweepChunks, fn);
-    } else {
-      pool_->ParallelForChunked(rows->size(), kSweepChunks, fn,
-                                max_participants_);
-    }
+    SharedThreadPool().ParallelForChunked(rows->size(), kSweepChunks, fn,
+                                          max_participants_);
   };
   materialize(/*ad_side=*/false, &rows_query_);
   materialize(/*ad_side=*/true, &rows_ad_);
-  pool_ = nullptr;
 
   size_t query_pairs = 0;
   for (const SparseRow& row : rows_query_) query_pairs += row.size();

@@ -18,7 +18,7 @@
 /// all-pairs precompute ceiling: rows become answerable at serve time
 /// (see OnDemandScorer and the RewriteService on-demand mode).
 ///
-/// Run() keeps the engine a drop-in registry citizen ("linearized"): it
+/// Run() keeps the engine a drop-in peer of the others ("linearized"): it
 /// loops the single-source evaluation over every node, materializing the
 /// same exportable score sets as the dense/sparse engines for small
 /// graphs and snapshot round-trips.
@@ -32,8 +32,6 @@
 #include "core/simrank_engine.h"
 
 namespace simrankpp {
-
-class ThreadPool;
 
 /// \brief Linearized SimRank engine (plain and evidence-based variants;
 /// weighted SimRank's in-recursion evidence does not linearize and is
@@ -161,10 +159,9 @@ class LinearizedSimRankEngine : public SimRankEngine, public OnDemandScorer {
   const BipartiteGraph* graph_ = nullptr;
   bool prepared_ = false;
 
-  // Shared pool, borrowed for Prepare/Run with at most max_participants_
-  // threads; null when running single-threaded.
-  ThreadPool* pool_ = nullptr;
-  size_t max_participants_ = 0;
+  // Threads (the caller included) that Prepare/Run may use on the shared
+  // pool.
+  size_t max_participants_ = 1;
 
   SideAdjacency query_adj_;  // query -> ads
   SideAdjacency ad_adj_;     // ad -> queries

@@ -83,8 +83,7 @@ class OnDemandScorer {
 };
 
 // Engine instantiation is name-based: see core/engine_registry.h for
-// CreateSimRankEngine("dense" | "sparse" | ..., options) and for
-// registering new implementations without touching this header.
+// CreateSimRankEngine("dense" | "sparse" | "linearized", options).
 
 }  // namespace simrankpp
 

@@ -89,17 +89,10 @@ struct SimRankOptions {
   /// largest violation of the diag(S) = 1 condition falls below this.
   double linearized_diag_tolerance = 1e-4;
 
-  /// Opt out of the deterministic SIMD summation order: fast-math
-  /// kernels may fuse multiply-adds (FMA), trading the byte-identical
-  /// cross-dispatch-level export guarantee for a little extra speed.
-  /// Results then match the default mode only within the tolerance
-  /// documented in docs/SIMD_KERNELS.md. Off by default.
-  bool fast_math = false;
-
   /// Worker threads for the iteration loops (0 = hardware concurrency,
   /// 1 = single-threaded). Engines borrow the process-wide shared pool
   /// (SharedThreadPool) capped at this many participating threads rather
-  /// than constructing their own. Both engines shard work
+  /// than constructing their own. Every engine shards work
   /// deterministically — the partition never depends on the thread count
   /// and per-shard results are merged in a fixed order — so exported
   /// scores are bit-identical for every value of this knob.
@@ -130,8 +123,7 @@ struct SimRankStats {
   size_t reused_pairs = 0;
   double elapsed_seconds = 0.0;
   /// SIMD dispatch level the kernels ran at ("scalar", "avx2",
-  /// "avx512"; "-fast" suffix when SimRankOptions::fast_math was on).
-  /// Empty for engines that predate the kernel layer.
+  /// "avx512"). Empty for engines that predate the kernel layer.
   std::string simd_level;
 
   std::string ToString() const;

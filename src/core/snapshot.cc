@@ -239,24 +239,16 @@ std::string SerializeSnapshot(const SimilarityMatrix& matrix,
   // pair count (ParallelForChunked's contract), each record is encoded at
   // a precomputed offset, and adjacent sorted chunks are merged in a
   // fixed order — so the byte stream is identical for any thread count,
-  // including the serial small-matrix path.
+  // including a small matrix's single chunk, which runs on the caller.
   size_t num_chunks =
       std::max<size_t>(1, (pairs.size() + kRecordsPerChunk - 1) /
                               kRecordsPerChunk);
-  bool parallel = num_chunks > 1;
-  auto for_chunks =
-      [&](const std::function<void(size_t, size_t, size_t)>& fn) {
-        if (parallel) {
-          SharedThreadPool().ParallelForChunked(pairs.size(), num_chunks, fn);
-        } else {
-          ThreadPool::SerialForChunked(pairs.size(), num_chunks, fn);
-        }
-      };
-
-  for_chunks([&](size_t, size_t begin, size_t end) {
-    std::sort(pairs.begin() + static_cast<ptrdiff_t>(begin),
-              pairs.begin() + static_cast<ptrdiff_t>(end), by_key);
-  });
+  ThreadPool& pool = SharedThreadPool();
+  pool.ParallelForChunked(
+      pairs.size(), num_chunks, [&](size_t, size_t begin, size_t end) {
+        std::sort(pairs.begin() + static_cast<ptrdiff_t>(begin),
+                  pairs.begin() + static_cast<ptrdiff_t>(end), by_key);
+      });
   // Merge sorted chunks pairwise (serial; the merges are cheap relative
   // to the chunk sorts and their order is fixed).
   size_t chunk_span = pairs.empty()
@@ -288,14 +280,15 @@ std::string SerializeSnapshot(const SimilarityMatrix& matrix,
   size_t records_at = buffer.size();
   buffer.resize(records_at + pairs.size() * kPairRecordBytes);
   char* records = buffer.data() + records_at;
-  for_chunks([&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      char* out = records + i * kPairRecordBytes;
-      StoreU32(out, pairs[i].u);
-      StoreU32(out + 4, pairs[i].v);
-      StoreDouble(out + 8, pairs[i].score);
-    }
-  });
+  pool.ParallelForChunked(
+      pairs.size(), num_chunks, [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          char* out = records + i * kPairRecordBytes;
+          StoreU32(out, pairs[i].u);
+          StoreU32(out + 4, pairs[i].v);
+          StoreDouble(out + 8, pairs[i].score);
+        }
+      });
 
   AppendU64(&buffer, Fnv1a64(buffer.data(), buffer.size()));
   return buffer;

@@ -73,17 +73,12 @@ Status SparseSimRankEngine::Run(const BipartiteGraph& graph) {
   }
 
   stats_ = SimRankStats();
-  stats_.simd_level = simd::ActiveKernels(options_.fast_math).name;
-  size_t threads = ResolveThreadCount(options_.num_threads);
-  // Borrow the process-wide pool (capped at `threads` participants) for
-  // the whole run; UpdateSide shards across it. Concurrent Runs share the
-  // same workers without observing each other's batches. threads_used
-  // reports what can actually participate: the caller plus at most the
-  // pool's workers, never more than the request.
-  max_participants_ = threads;
-  pool_ = threads > 1 ? &SharedThreadPool() : nullptr;
-  stats_.threads_used =
-      pool_ == nullptr ? 1 : std::min(threads, pool_->num_threads() + 1);
+  stats_.simd_level = simd::ActiveKernels().name;
+  // Borrow the process-wide pool, capped at the requested thread count,
+  // for the whole run; UpdateSide shards across it. Concurrent Runs share
+  // the same workers without observing each other's batches.
+  max_participants_ = ResolveThreadCount(options_.num_threads);
+  stats_.threads_used = SharedThreadPool().Participants(max_participants_);
 
   // Flatten both adjacency directions, then build the two-hop candidate
   // rows — the reachable-pair skeleton is fixed by the topology, so both
@@ -151,7 +146,6 @@ Status SparseSimRankEngine::Run(const BipartiteGraph& graph) {
     }
   }
 
-  pool_ = nullptr;
   // Release the per-Run scaffolding; only the score stores outlive Run.
   side_query_ = SideAdjacency();
   side_ad_ = SideAdjacency();
@@ -229,11 +223,8 @@ SparseSimRankEngine::CandidateIndex SparseSimRankEngine::BuildTwoHopIndex(
       rows.row_sizes.push_back(candidates.size());
     }
   };
-  if (pool_ == nullptr) {
-    ThreadPool::SerialForChunked(n, num_chunks, run_chunk);
-  } else {
-    pool_->ParallelForChunked(n, num_chunks, run_chunk, max_participants_);
-  }
+  SharedThreadPool().ParallelForChunked(n, num_chunks, run_chunk,
+                                        max_participants_);
 
   CandidateIndex index;
   index.offsets.assign(n + 1, 0);
@@ -311,7 +302,7 @@ PairStore SparseSimRankEngine::UpdateSide(bool query_side,
 
   // Kernels for the hot accumulations (one table per Run; immutable, so
   // sharing the reference across worker threads is free).
-  const simd::KernelTable& kern = simd::ActiveKernels(options_.fast_math);
+  const simd::KernelTable& kern = simd::ActiveKernels();
 
   // sum over (a, b) in E(u) x E(v) of wu * wv * s(a, b), computed for
   // each edge u->a as an intersection of a's score row with v's neighbor
@@ -548,11 +539,8 @@ PairStore SparseSimRankEngine::UpdateSide(bool query_side,
   // thread count — and every pair is scored wholly inside one chunk, so
   // the flat store is built from the same (key, value) sequence for any
   // num_threads: results are bit-identical with no atomics on scores.
-  if (pool_ == nullptr) {
-    ThreadPool::SerialForChunked(n, num_chunks, run_chunk);
-  } else {
-    pool_->ParallelForChunked(n, num_chunks, run_chunk, max_participants_);
-  }
+  SharedThreadPool().ParallelForChunked(n, num_chunks, run_chunk,
+                                        max_participants_);
   for (size_t c = 0; c < num_chunks; ++c) {
     stats_.rescored_pairs += chunk_rescored[c];
     stats_.reused_pairs += chunk_reused[c];

@@ -30,8 +30,6 @@
 
 namespace simrankpp {
 
-class ThreadPool;
-
 /// \brief Scalable SimRank engine with score pruning.
 class SparseSimRankEngine : public SimRankEngine {
  public:
@@ -129,10 +127,8 @@ class SparseSimRankEngine : public SimRankEngine {
   SimRankOptions options_;
   SimRankStats stats_;
   const BipartiteGraph* graph_ = nullptr;
-  // The process-wide shared pool, borrowed for the duration of Run() with
-  // at most max_participants_ threads; null when running single-threaded.
-  ThreadPool* pool_ = nullptr;
-  size_t max_participants_ = 0;
+  // Threads (the caller included) that Run() may use on the shared pool.
+  size_t max_participants_ = 1;
 
   // Post-cap scores, the engine's output state.
   PairStore query_scores_;

@@ -38,7 +38,7 @@ struct DesirabilityExperimentOptions {
   size_t max_path_hops = 10;
   /// Engine + SimRank parameters shared by all three variants (the
   /// variant field itself is overridden per method). The engine is
-  /// selected by registry name (core/engine_registry.h).
+  /// selected by name (core/engine_registry.h).
   SimRankOptions simrank;
   std::string engine = "sparse";
   uint64_t seed = 123;

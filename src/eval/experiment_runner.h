@@ -33,7 +33,7 @@ struct ExperimentConfig {
   WorkloadOptions workload;
 
   /// Engine parameters; the variant field is overridden per method. The
-  /// engine is selected by registry name (core/engine_registry.h).
+  /// engine is selected by name (core/engine_registry.h).
   SimRankOptions simrank;
   std::string engine = "sparse";
   RewritePipelineOptions pipeline;

@@ -134,33 +134,6 @@ RewriteServiceStats RewriteService::Stats() const {
   return stats;
 }
 
-Status RewriteService::SaveSnapshot(const std::string& path) const {
-  return simrankpp::SaveSnapshot(rewriter_.similarities(),
-                                 base_stats_.method_name, path, side());
-}
-
-Result<std::unique_ptr<RewriteService>> RewriteService::RebuildFromSnapshot(
-    const std::string& path) const {
-  // Rebuilding shares every already-loaded input (graph, bids, pipeline)
-  // and re-reads only the snapshot; declaring our side makes a
-  // wrong-direction replacement file fail validation instead of serving
-  // nonsense ids.
-  RewriteServiceBuilder builder;
-  builder.WithGraph(graph_)
-      .WithSnapshot(path)
-      .WithSide(side())
-      .WithBidDatabase(rewriter_.bids())
-      .WithPipelineOptions(rewriter_.pipeline_options());
-  if (scorer_ != nullptr) {
-    // Carry the lazy-scoring mode through a hot reload: the replacement
-    // service gets a fresh engine Prepare and an empty row cache.
-    builder.WithOnDemandEngine(base_stats_.engine_name, engine_->options())
-        .WithRowCacheCapacity(row_cache_->capacity())
-        .WithMinScore(row_min_score_);
-  }
-  return builder.Build();
-}
-
 RewriteServiceBuilder& RewriteServiceBuilder::WithGraph(
     const BipartiteGraph* graph) {
   graph_ = graph;

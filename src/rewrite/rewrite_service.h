@@ -7,7 +7,7 @@
 /// similarity matrix, or a snapshot file written by an earlier process —
 /// and then serves lookups from any number of threads. It composes the
 /// existing QueryRewriter/pipeline as a thin inner layer; what it adds is
-/// the assembly (engine registry + snapshot I/O + bid database + pipeline
+/// the assembly (engine by name + snapshot I/O + bid database + pipeline
 /// options behind one builder), batched retrieval on the process-wide
 /// shared thread pool, and serving statistics.
 #ifndef SIMRANKPP_REWRITE_REWRITE_SERVICE_H_
@@ -36,7 +36,7 @@ namespace simrankpp {
 struct RewriteServiceStats {
   /// Similarity method behind the scores ("weighted Simrank", ...).
   std::string method_name;
-  /// Registry name of the engine that computed the scores in-process;
+  /// Name of the engine that computed the scores in-process;
   /// empty when the scores came from a snapshot or a caller matrix.
   std::string engine_name;
   /// Where the scores came from: "engine", "snapshot", or "matrix".
@@ -96,20 +96,6 @@ class RewriteService {
 
   /// \brief Current configuration + serving counters.
   RewriteServiceStats Stats() const;
-
-  /// \brief Writes the service's similarity scores as a snapshot that a
-  /// fresh process can load into an identical service. The side tag is
-  /// carried through.
-  Status SaveSnapshot(const std::string& path) const;
-
-  /// \brief Builds a fresh service from a replacement snapshot file,
-  /// reusing this service's graph, bid database, pipeline options, and
-  /// side — the cheap half of a hot reload (no graph/bid re-parse; only
-  /// the snapshot is read and validated). Fails, leaving this service
-  /// untouched, when the file is corrupt, covers a different node count,
-  /// or carries the wrong side tag.
-  Result<std::unique_ptr<RewriteService>> RebuildFromSnapshot(
-      const std::string& path) const;
 
   /// \brief Which node set this service rewrites over.
   SnapshotSide side() const { return rewriter_.side(); }
@@ -177,7 +163,7 @@ class RewriteService {
 /// the serving configuration.
 ///
 /// Exactly one score source must be set:
-///  - WithEngine(name, options): create the engine through the registry,
+///  - WithEngine(name, options): create the engine by name,
 ///    Run it on the graph, and export query scores (offline + serving in
 ///    one process);
 ///  - WithSnapshot(path): load scores computed by an earlier process;

@@ -60,8 +60,6 @@ class RowCache {
 
   Stats GetStats() const;
 
-  size_t capacity() const { return shards_.size() * per_shard_capacity_; }
-
  private:
   struct Entry {
     uint32_t node = 0;

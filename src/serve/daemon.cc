@@ -77,6 +77,9 @@ constexpr size_t kMaxUnsentOutputBytes = size_t{1} << 20;
 // limit; the waiting clients queue in the kernel backlog.
 constexpr double kAcceptRetrySeconds = 0.1;
 
+// Connections beyond this are accepted and immediately closed.
+constexpr size_t kMaxConnections = 256;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -129,6 +132,8 @@ class ServeDaemon::Impl {
     return exit_code_.load();
   }
 
+  // One PollForChanges pass, counted in srpp_reloads_total{outcome}. The
+  // watcher and RELOAD frames reload through here too.
   Result<std::vector<std::string>> PollNow() {
     Result<std::vector<std::string>> reloaded = store_->PollForChanges();
     if (reloaded.ok()) {
@@ -299,13 +304,11 @@ class ServeDaemon::Impl {
   // Lookup without creating: callers that must not mint registry
   // children for unvalidated tenant names.
   TenantState* FindState(const std::string& tenant) {
-    MutexLock lock(&states_mu_);
     auto it = states_.find(tenant);
     return it == states_.end() ? nullptr : it->second.get();
   }
 
   TenantState* GetOrCreateState(const std::string& tenant) {
-    MutexLock lock(&states_mu_);
     auto it = states_.find(tenant);
     if (it == states_.end()) {
       it = states_
@@ -350,13 +353,12 @@ class ServeDaemon::Impl {
   // failure; accept_retry_at_ is when the IO loop re-arms it.
   bool accept_paused_ = false;
   double accept_retry_at_ = 0.0;
-
-  Mutex states_mu_;
-  // Values are stable pointers: a TenantState is never destroyed while
-  // the daemon runs, so holding states_mu_ is only required for the map
-  // itself, not for using a looked-up TenantState (which has its own mu).
-  std::unordered_map<std::string, std::unique_ptr<TenantState>> states_
-      SRPP_GUARDED_BY(states_mu_);
+  // Per-tenant admission state, filled by Boot before the I/O thread
+  // starts and afterwards read and grown only by it (AdmitTopK). Values
+  // are stable pointers: a TenantState is never destroyed while the
+  // daemon runs, so a batch keeps the TenantState* it was submitted with
+  // (its shared parts are guarded by TenantState::mu).
+  std::unordered_map<std::string, std::unique_ptr<TenantState>> states_;
 
   Mutex outbox_mu_;
   std::vector<Completion> outbox_ SRPP_GUARDED_BY(outbox_mu_);
@@ -439,7 +441,6 @@ Status ServeDaemon::Impl::Boot() {
       "srpp_simd_info", "Active SIMD dispatch level for this process.",
       {{"level", simd::SimdLevelName(simd::ActiveSimdLevel())}});
   TraceRecorderOptions trace_options;
-  trace_options.ring_capacity = options_.trace_ring_capacity;
   trace_options.slow_request_seconds = options_.slow_request_seconds;
   tracer_ = std::make_unique<TraceRecorder>(&metrics_, trace_options);
 
@@ -448,13 +449,11 @@ Status ServeDaemon::Impl::Boot() {
                                            registry_.get());
   Status loaded = store_->LoadAll();
   if (!loaded.ok()) {
-    // An unreadable/unparsable manifest loads nothing — fatal either
-    // way. Per-tenant failures are fatal only under require_all_tenants;
-    // otherwise the loaded tenants serve and srpp_tenant_info carries
-    // the failures (each one was also logged at WARN).
-    if (options_.require_all_tenants || registry_->size() == 0) {
-      return loaded;
-    }
+    // An unreadable/unparsable manifest loads nothing — fatal. Otherwise
+    // the loaded tenants serve and srpp_tenant_info carries the failures
+    // (each one was also logged at WARN); a manifest with no loadable
+    // tenant is fatal too.
+    if (registry_->size() == 0) return loaded;
     SRPP_LOG(Warning) << "serve daemon starting degraded: "
                       << loaded.ToString();
   }
@@ -701,7 +700,7 @@ void ServeDaemon::Impl::AcceptAll() {
       }
       break;
     }
-    if (draining_.load() || connections_.size() >= options_.max_connections) {
+    if (draining_.load() || connections_.size() >= kMaxConnections) {
       close(fd);
       connections_refused_->Increment();
       continue;
@@ -767,7 +766,7 @@ void ServeDaemon::Impl::ParseFrames(Connection* conn) {
                           conn->in.size() - consumed);
     FrameHeader header;
     FrameDecode decode =
-        DecodeFrameHeader(rest, options_.max_frame_payload, &header);
+        DecodeFrameHeader(rest, kMaxFramePayloadBytes, &header);
     if (decode == FrameDecode::kNeedMoreData) break;
     if (decode != FrameDecode::kOk) {
       // The stream cannot be resynchronized after a corrupt header: tell
@@ -828,7 +827,7 @@ void ServeDaemon::Impl::HandleFrame(Connection* conn,
       // A frame cannot announce more than the payload ceiling; a
       // pathological tenant count truncates rather than breaking framing
       // (the HTTP endpoint has no such limit).
-      size_t limit = options_.max_frame_payload - sizeof(uint32_t);
+      size_t limit = kMaxFramePayloadBytes - sizeof(uint32_t);
       if (text.size() > limit) text.resize(limit);
       std::string out;
       AppendTextFrame(FrameType::kMetricsResponse, WireCode::kOk,
@@ -1235,12 +1234,11 @@ void ServeDaemon::Impl::RunBatch(std::string tenant_name,
 
 void ServeDaemon::Impl::RunReload(int fd, uint64_t serial,
                                   uint32_t request_id) {
-  Result<std::vector<std::string>> reloaded = store_->PollForChanges();
+  Result<std::vector<std::string>> reloaded = PollNow();
   Completion completion;
   completion.fd = fd;
   completion.serial = serial;
   if (reloaded.ok()) {
-    reloads_applied_->Increment(reloaded->size());
     std::string text;
     for (const std::string& name : *reloaded) {
       if (!text.empty()) text += '\n';
@@ -1249,7 +1247,6 @@ void ServeDaemon::Impl::RunReload(int fd, uint64_t serial,
     AppendTextFrame(FrameType::kReloadResponse, WireCode::kOk, request_id,
                     text, &completion.bytes);
   } else {
-    reloads_failed_->Increment();
     AppendTextFrame(FrameType::kError, WireCode::kInternal, request_id,
                     reloaded.status().ToString(), &completion.bytes);
   }
@@ -1334,13 +1331,8 @@ void ServeDaemon::Impl::WatchLoop() {
         }
       }
     }
-    Result<std::vector<std::string>> reloaded = store_->PollForChanges();
-    if (reloaded.ok()) {
-      reloads_applied_->Increment(reloaded->size());
-      if (!reloaded->empty()) refresh_watches();
-    } else {
-      reloads_failed_->Increment();
-    }
+    Result<std::vector<std::string>> reloaded = PollNow();
+    if (reloaded.ok() && !reloaded->empty()) refresh_watches();
   }
   if (inotify_fd >= 0) close(inotify_fd);
 }

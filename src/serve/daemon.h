@@ -51,8 +51,6 @@ struct DaemonOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the bound one back via port().
   uint16_t port = 0;
-  /// Connections beyond this are accepted and immediately closed.
-  size_t max_connections = 256;
   /// Pending-queue bound per tenant; requests beyond it are shed with
   /// kOverloaded. The bound applies to queue *cost*, not just length:
   /// cold on-demand rows are billed at cold_row_cost units each, so a
@@ -68,8 +66,6 @@ struct DaemonOptions {
   double tenant_qps = 0.0;
   /// Token-bucket capacity (burst size).
   double tenant_burst = 64.0;
-  /// Frames announcing a larger payload are rejected as kBadFrame.
-  uint32_t max_frame_payload = kMaxFramePayloadBytes;
   /// Run the hot-reload watcher thread.
   bool enable_watcher = true;
   /// Prefer inotify wakeups; mtime polling is used when false or when
@@ -77,10 +73,6 @@ struct DaemonOptions {
   bool use_inotify = true;
   /// Fallback poll cadence (and inotify debounce backstop), seconds.
   double watch_poll_seconds = 0.5;
-  /// When true, Start fails unless every manifest tenant loads; when
-  /// false the daemon serves the tenants that did load (each failure is
-  /// logged at WARN and shows as reload="failed" in srpp_tenant_info).
-  bool require_all_tenants = false;
   /// Test hook: sleep this long inside each micro-batch execution, so
   /// coalescing/shedding/drain windows are deterministic in tests.
   int debug_batch_delay_ms = 0;
@@ -92,17 +84,20 @@ struct DaemonOptions {
   /// stage breakdown and count into srpp_slow_requests_total; <= 0
   /// disables the slow-request log.
   double slow_request_seconds = 0.0;
-  /// Capacity of the recent-trace ring served by RecentTraces().
-  size_t trace_ring_capacity = 64;
 };
 
 /// \brief A running serve daemon. Construction via Start() binds the
 /// socket and spawns the threads; destruction (or Wait() after
-/// RequestShutdown) tears everything down.
+/// RequestShutdown) tears everything down. Fixed limits: at most 256
+/// connections (more are accepted and closed at once), and frames up to
+/// kMaxFramePayloadBytes (larger ones are rejected as kBadFrame).
 class ServeDaemon {
  public:
   /// \brief Loads the manifest, binds host:port, and starts the event
-  /// loop + watcher threads. On error nothing is left running.
+  /// loop + watcher threads. Tenants that fail to load are logged at WARN
+  /// and show as reload="failed" in srpp_tenant_info while the rest
+  /// serve; Start fails when no tenant loads. On error nothing is left
+  /// running.
   static Result<std::unique_ptr<ServeDaemon>> Start(DaemonOptions options);
 
   /// \brief Stops (graceful drain) if still running, then joins.
@@ -137,8 +132,8 @@ class ServeDaemon {
   /// \brief Bound port of the metrics HTTP listener, 0 when disabled.
   uint16_t metrics_port() const;
 
-  /// \brief Recent completed-request traces, oldest first (bounded by
-  /// options.trace_ring_capacity).
+  /// \brief Recent completed-request traces, oldest first (at most the
+  /// TraceRecorderOptions default ring capacity, 64).
   std::vector<RequestTrace> RecentTraces() const;
 
   /// \brief The registry backing this daemon (read-only lookups are safe

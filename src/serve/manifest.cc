@@ -237,7 +237,7 @@ Result<ServingManifest> ParseManifest(const std::string& content,
       }
     } else if (kv.key == "engine") {
       if (kv.value.empty()) {
-        return LineError(line_number, "\"engine\" needs a registry name");
+        return LineError(line_number, "\"engine\" needs an engine name");
       }
       current->engine = kv.value;
     } else if (kv.key == "checksum") {

@@ -137,7 +137,16 @@ void MetricsHttpServer::ServeLoop() {
     int ready = poll(&pfd, 1, kPollIntervalMs);
     if (ready <= 0) continue;
     int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
+    if (fd < 0) {
+      // Out of descriptors or kernel memory: the scrape stays queued and
+      // the listener stays readable, so retrying at once would spin.
+      // Wait one interval first; stop_ is checked again after it.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        poll(nullptr, 0, kPollIntervalMs);
+      }
+      continue;
+    }
     HandleConnection(fd);
     close(fd);
   }

@@ -1,11 +1,11 @@
-// AVX2 kernel level. This TU is compiled with -mavx2 -mfma
-// -ffp-contract=off when the compiler supports those flags; otherwise
-// the getters return nullptr and dispatch clamps to scalar. FMA is
-// required only by the fast-mode table — the default table never fuses
-// (contract off), which keeps it bit-identical with scalar.
+// AVX2 kernel level. This TU is compiled with -mavx2 -ffp-contract=off
+// when the compiler supports those flags; otherwise the getter returns
+// nullptr and dispatch clamps to scalar. Contraction off keeps the
+// compiler from fusing mul+add into FMA, which keeps the table
+// bit-identical with scalar.
 #include "util/simd/simd.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 #include "util/simd/kernels_impl.h"
 #endif
 
@@ -13,21 +13,16 @@ namespace simrankpp {
 namespace simd {
 namespace internal {
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 namespace {
 
-const KernelTable kAvx2Table =
-    MakeKernelTable<Avx2Traits, /*kFast=*/false>("avx2");
-const KernelTable kAvx2FastTable =
-    MakeKernelTable<Avx2Traits, /*kFast=*/true>("avx2-fast");
+const KernelTable kAvx2Table = MakeKernelTable<Avx2Traits>();
 
 }  // namespace
 
 const KernelTable* Avx2Kernels() { return &kAvx2Table; }
-const KernelTable* Avx2FastKernels() { return &kAvx2FastTable; }
 #else
 const KernelTable* Avx2Kernels() { return nullptr; }
-const KernelTable* Avx2FastKernels() { return nullptr; }
 #endif
 
 }  // namespace internal

@@ -1,8 +1,8 @@
 // AVX-512 kernel level. Compiled with -mavx512f -ffp-contract=off when
-// the compiler supports it; otherwise the getters return nullptr and
+// the compiler supports it; otherwise the getter returns nullptr and
 // dispatch clamps to AVX2 or scalar. -ffp-contract=off is load-bearing
-// here: -mavx512f implies FMA availability, and without it the
-// compiler would contract the default-mode mul+add pairs.
+// here: the AVX-512F instruction set includes FMA, and without it the
+// compiler would contract the mul+add pairs.
 #include "util/simd/simd.h"
 
 #if defined(__AVX512F__)
@@ -16,18 +16,13 @@ namespace internal {
 #if defined(__AVX512F__)
 namespace {
 
-const KernelTable kAvx512Table =
-    MakeKernelTable<Avx512Traits, /*kFast=*/false>("avx512");
-const KernelTable kAvx512FastTable =
-    MakeKernelTable<Avx512Traits, /*kFast=*/true>("avx512-fast");
+const KernelTable kAvx512Table = MakeKernelTable<Avx512Traits>();
 
 }  // namespace
 
 const KernelTable* Avx512Kernels() { return &kAvx512Table; }
-const KernelTable* Avx512FastKernels() { return &kAvx512FastTable; }
 #else
 const KernelTable* Avx512Kernels() { return nullptr; }
-const KernelTable* Avx512FastKernels() { return nullptr; }
 #endif
 
 }  // namespace internal

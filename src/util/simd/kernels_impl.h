@@ -1,14 +1,12 @@
 // Templated kernel bodies shared by the per-level translation units.
-// Instantiated once per (Traits, fast) pair; each TU exports the result
-// as a static KernelTable (see kernels_scalar.cc / kernels_avx2.cc /
+// Instantiated once per Traits; each TU exports the result as a static
+// KernelTable (see kernels_scalar.cc / kernels_avx2.cc /
 // kernels_avx512.cc).
 //
-// Default mode (kFast = false) implements the 8-lane deterministic
-// summation order from simd.h exactly: main loop over whole kLanes
-// blocks, spill to double[kLanes], scalar tail continuing the
-// positional lane assignment, then the shared ReduceLanes() tree.
-// Fast mode may fuse multiply-adds (Traits::MulAdd) and makes no
-// cross-level bit guarantee.
+// Every kernel implements the 8-lane deterministic summation order from
+// simd.h exactly: main loop over whole kLanes blocks, spill to
+// double[kLanes], scalar tail continuing the positional lane
+// assignment, then the shared ReduceLanes() tree.
 #ifndef SIMRANKPP_UTIL_SIMD_KERNELS_IMPL_H_
 #define SIMRANKPP_UTIL_SIMD_KERNELS_IMPL_H_
 
@@ -22,7 +20,7 @@ namespace simrankpp {
 namespace simd {
 namespace internal {
 
-template <typename Traits, bool kFast>
+template <typename Traits>
 double GatherSumImpl(const double* dense, const std::uint32_t* idx,
                      std::size_t n) {
   typename Traits::VecD acc = Traits::Zero();
@@ -36,7 +34,7 @@ double GatherSumImpl(const double* dense, const std::uint32_t* idx,
   return ReduceLanes(lanes);
 }
 
-template <typename Traits, bool kFast>
+template <typename Traits>
 double GatherSumWeightedImpl(const double* dense, const std::uint32_t* idx,
                              const double* w, double scale, std::size_t n) {
   const typename Traits::VecD vscale = Traits::Broadcast(scale);
@@ -46,11 +44,7 @@ double GatherSumWeightedImpl(const double* dense, const std::uint32_t* idx,
     const typename Traits::VecD coeff =
         Traits::Mul(vscale, Traits::LoadU(w + p));
     const typename Traits::VecD gathered = Traits::Gather(dense, idx + p);
-    if constexpr (kFast) {
-      acc = Traits::MulAdd(coeff, gathered, acc);
-    } else {
-      acc = Traits::Add(acc, Traits::Mul(coeff, gathered));
-    }
+    acc = Traits::Add(acc, Traits::Mul(coeff, gathered));
   }
   double lanes[kLanes];
   Traits::StoreLanes(acc, lanes);
@@ -58,23 +52,19 @@ double GatherSumWeightedImpl(const double* dense, const std::uint32_t* idx,
   return ReduceLanes(lanes);
 }
 
-template <typename Traits, bool kFast>
+template <typename Traits>
 void AxpyImpl(double a, const double* x, double* y, std::size_t n) {
   const typename Traits::VecD va = Traits::Broadcast(a);
   std::size_t p = 0;
   for (; p + kLanes <= n; p += kLanes) {
     const typename Traits::VecD vx = Traits::LoadU(x + p);
     const typename Traits::VecD vy = Traits::LoadU(y + p);
-    if constexpr (kFast) {
-      Traits::StoreU(Traits::MulAdd(va, vx, vy), y + p);
-    } else {
-      Traits::StoreU(Traits::Add(vy, Traits::Mul(va, vx)), y + p);
-    }
+    Traits::StoreU(Traits::Add(vy, Traits::Mul(va, vx)), y + p);
   }
   for (; p < n; ++p) y[p] += a * x[p];
 }
 
-template <typename Traits, bool kFast>
+template <typename Traits>
 void PearsonAccumulateImpl(const double* w1, const double* w2, std::size_t n,
                            double mean1, double mean2, double* num,
                            double* den1, double* den2) {
@@ -87,15 +77,9 @@ void PearsonAccumulateImpl(const double* w1, const double* w2, std::size_t n,
   for (; p + kLanes <= n; p += kLanes) {
     const typename Traits::VecD d1 = Traits::Sub(Traits::LoadU(w1 + p), vm1);
     const typename Traits::VecD d2 = Traits::Sub(Traits::LoadU(w2 + p), vm2);
-    if constexpr (kFast) {
-      acc_num = Traits::MulAdd(d1, d2, acc_num);
-      acc_d1 = Traits::MulAdd(d1, d1, acc_d1);
-      acc_d2 = Traits::MulAdd(d2, d2, acc_d2);
-    } else {
-      acc_num = Traits::Add(acc_num, Traits::Mul(d1, d2));
-      acc_d1 = Traits::Add(acc_d1, Traits::Mul(d1, d1));
-      acc_d2 = Traits::Add(acc_d2, Traits::Mul(d2, d2));
-    }
+    acc_num = Traits::Add(acc_num, Traits::Mul(d1, d2));
+    acc_d1 = Traits::Add(acc_d1, Traits::Mul(d1, d1));
+    acc_d2 = Traits::Add(acc_d2, Traits::Mul(d2, d2));
   }
   double lanes_num[kLanes];
   double lanes_d1[kLanes];
@@ -115,15 +99,15 @@ void PearsonAccumulateImpl(const double* w1, const double* w2, std::size_t n,
   *den2 = ReduceLanes(lanes_d2);
 }
 
-/// Builds the exported table for one (Traits, fast) instantiation.
-template <typename Traits, bool kFast>
-KernelTable MakeKernelTable(const char* name) {
+/// Builds the exported table for one Traits instantiation.
+template <typename Traits>
+KernelTable MakeKernelTable() {
   KernelTable table;
-  table.name = name;
-  table.gather_sum = &GatherSumImpl<Traits, kFast>;
-  table.gather_sum_weighted = &GatherSumWeightedImpl<Traits, kFast>;
-  table.axpy = &AxpyImpl<Traits, kFast>;
-  table.pearson_accumulate = &PearsonAccumulateImpl<Traits, kFast>;
+  table.name = Traits::kName;
+  table.gather_sum = &GatherSumImpl<Traits>;
+  table.gather_sum_weighted = &GatherSumWeightedImpl<Traits>;
+  table.axpy = &AxpyImpl<Traits>;
+  table.pearson_accumulate = &PearsonAccumulateImpl<Traits>;
   table.count_common_sorted = &Traits::CountCommonSorted;
   return table;
 }

@@ -1,6 +1,6 @@
 // Scalar kernel level — the portable reference every vector level must
-// match bit-for-bit in default mode. Compiled with -ffp-contract=off
-// like the vector TUs so no level fuses multiply-add.
+// match bit-for-bit. Compiled with -ffp-contract=off like the vector
+// TUs so no level fuses multiply-add.
 #include "util/simd/kernels_impl.h"
 
 namespace simrankpp {
@@ -8,8 +8,7 @@ namespace simd {
 namespace internal {
 namespace {
 
-const KernelTable kScalarTable =
-    MakeKernelTable<ScalarTraits, /*kFast=*/false>("scalar");
+const KernelTable kScalarTable = MakeKernelTable<ScalarTraits>();
 
 }  // namespace
 

@@ -7,8 +7,8 @@
 // (scalar|avx2|avx512), and can be overridden programmatically for
 // tests via SetSimdLevel().
 //
-// Determinism contract (default mode)
-// -----------------------------------
+// Determinism contract
+// --------------------
 // All floating-point reduction kernels accumulate into kLanes = 8
 // virtual lanes: the term at position p is added to lane p % 8, in
 // ascending p order within each lane. The lanes are then reduced by the
@@ -23,10 +23,6 @@
 // and the kernel translation units are compiled with -ffp-contract=off
 // so no level fuses multiply-add. Result: byte-identical outputs across
 // SRPP_SIMD=scalar|avx2|avx512 (pinned by sparse_equivalence_test).
-//
-// Fast mode (SimRankOptions::fast_math) selects kernels that may use
-// FMA; those are validated against the default kernels at the tolerance
-// documented in docs/SIMD_KERNELS.md, not bit-for-bit.
 //
 // Outside src/util/simd/ no raw intrinsics are allowed (the
 // raw-intrinsics lint rule enforces this); callers go through
@@ -77,11 +73,10 @@ SimdLevel ActiveSimdLevel();
 /// not supported on this CPU or was not compiled in.
 bool SetSimdLevel(SimdLevel level);
 
-/// \brief One kernel set: a single dispatch level in one mode.
-/// All reduction kernels follow the determinism contract above in the
-/// default-mode tables; fast tables may fuse multiply-adds.
+/// \brief One kernel set: a single dispatch level. All reduction kernels
+/// follow the determinism contract above.
 struct KernelTable {
-  /// Level + mode tag, e.g. "avx2" or "avx2-fast".
+  /// Level name, e.g. "avx2".
   const char* name;
 
   /// sum over p of dense[idx[p]]          (8-lane order)
@@ -94,7 +89,7 @@ struct KernelTable {
                                 const double* w, double scale, std::size_t n);
 
   /// y[p] += a * x[p] for p in [0, n)  (element-wise; bit-identical at
-  /// every level in default mode)
+  /// every level)
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
 
   /// Pearson accumulation over paired weights: writes (not adds)
@@ -112,14 +107,13 @@ struct KernelTable {
                                      const std::uint32_t* b, std::size_t nb);
 };
 
-/// \brief The table for ActiveSimdLevel(). `fast_math` selects the
-/// FMA-permitting variant (scalar level has no separate fast table).
-const KernelTable& ActiveKernels(bool fast_math = false);
+/// \brief The table for ActiveSimdLevel().
+const KernelTable& ActiveKernels();
 
 /// \brief The table for an explicit level, or nullptr when that level
 /// was not compiled in. Does NOT check CPU support — only call through
 /// the returned table when SimdLevelSupported(level) holds.
-const KernelTable* KernelsFor(SimdLevel level, bool fast_math = false);
+const KernelTable* KernelsFor(SimdLevel level);
 
 /// \brief The fixed lane-reduction tree of the determinism contract.
 /// Scalar call sites that accumulate their own double[kLanes] partials
@@ -137,13 +131,10 @@ namespace internal {
 
 // Per-translation-unit entry points. The AVX getters return nullptr
 // when the compiler could not target the instruction set (the TU is
-// then compiled empty). The scalar tables are always present; scalar
-// has no distinct fast variant, so both getters return the same table.
+// then compiled empty). The scalar table is always present.
 const KernelTable* ScalarKernels();
 const KernelTable* Avx2Kernels();
-const KernelTable* Avx2FastKernels();
 const KernelTable* Avx512Kernels();
-const KernelTable* Avx512FastKernels();
 
 }  // namespace internal
 }  // namespace simd

@@ -19,9 +19,7 @@ bool CpuSupports(SimdLevel level) {
       return true;
     case SimdLevel::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
-      // The AVX2 fast table uses FMA; every AVX2-era CPU has it, but
-      // gate on both so the fast/default tables always travel together.
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+      return __builtin_cpu_supports("avx2");
 #else
       return false;
 #endif
@@ -107,7 +105,7 @@ SimdLevel DetectCpuSimdLevel() {
 }
 
 bool SimdLevelSupported(SimdLevel level) {
-  return CpuSupports(level) && KernelsFor(level, /*fast_math=*/false) != nullptr;
+  return CpuSupports(level) && KernelsFor(level) != nullptr;
 }
 
 SimdLevel ActiveSimdLevel() {
@@ -120,22 +118,20 @@ bool SetSimdLevel(SimdLevel level) {
   return true;
 }
 
-const KernelTable* KernelsFor(SimdLevel level, bool fast_math) {
+const KernelTable* KernelsFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
-      // Scalar has no distinct fast variant.
       return internal::ScalarKernels();
     case SimdLevel::kAvx2:
-      return fast_math ? internal::Avx2FastKernels() : internal::Avx2Kernels();
+      return internal::Avx2Kernels();
     case SimdLevel::kAvx512:
-      return fast_math ? internal::Avx512FastKernels()
-                       : internal::Avx512Kernels();
+      return internal::Avx512Kernels();
   }
   return nullptr;
 }
 
-const KernelTable& ActiveKernels(bool fast_math) {
-  const KernelTable* table = KernelsFor(ActiveSimdLevel(), fast_math);
+const KernelTable& ActiveKernels() {
+  const KernelTable* table = KernelsFor(ActiveSimdLevel());
   // ActiveSimdLevel() only ever holds usable levels, so table is
   // non-null; the check documents (and enforces) that invariant.
   SRPP_CHECK(table != nullptr) << "no kernels for active level";

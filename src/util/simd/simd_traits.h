@@ -11,12 +11,11 @@
 // StoreLanes() spills in lane order; kernels then run the shared scalar
 // ReduceLanes() tree so every level reduces identically.
 //
-// MulAdd() is only reachable from the fast-mode kernel instantiations;
-// default-mode kernels use Mul()+Add() and the TUs are compiled with
-// -ffp-contract=off so the compiler cannot fuse them either. (GCC and
-// Clang lower vector intrinsics to generic IR and WILL contract
-// mul+add into FMA at -ffp-contract=fast, so that flag is load-bearing
-// for the cross-level byte-equality contract.)
+// Kernels use Mul()+Add() and the TUs are compiled with
+// -ffp-contract=off so the compiler cannot fuse them. (GCC and Clang
+// lower vector intrinsics to generic IR and WILL contract mul+add into
+// FMA at -ffp-contract=fast, so that flag is load-bearing for the
+// cross-level byte-equality contract.)
 //
 // This header may only be included from src/util/simd/ translation
 // units (raw-intrinsics lint rule).
@@ -83,10 +82,6 @@ struct ScalarTraits {
     for (std::size_t j = 0; j < kLanes; ++j) v.lane[j] = a.lane[j] * b.lane[j];
     return v;
   }
-  static VecD MulAdd(VecD a, VecD b, VecD acc) {
-    // Fast-mode only; unfused is fine for the scalar level.
-    return Add(Mul(a, b), acc);
-  }
   static void StoreLanes(VecD v, double* out) {
     for (std::size_t j = 0; j < kLanes; ++j) out[j] = v.lane[j];
   }
@@ -116,7 +111,7 @@ struct ScalarTraits {
   }
 };
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 // ---------------------------------------------------------------------------
 // AVX2: two 256-bit halves form the 8 virtual lanes.
 // ---------------------------------------------------------------------------
@@ -159,10 +154,6 @@ struct Avx2Traits {
   }
   static VecD Mul(VecD a, VecD b) {
     return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
-  }
-  static VecD MulAdd(VecD a, VecD b, VecD acc) {
-    return {_mm256_fmadd_pd(a.lo, b.lo, acc.lo),
-            _mm256_fmadd_pd(a.hi, b.hi, acc.hi)};
   }
   static void StoreLanes(VecD v, double* out) {
     _mm256_storeu_pd(out, v.lo);
@@ -221,7 +212,7 @@ struct Avx2Traits {
     return count;
   }
 };
-#endif  // __AVX2__ && __FMA__
+#endif  // __AVX2__
 
 #if defined(__AVX512F__)
 // ---------------------------------------------------------------------------
@@ -247,68 +238,20 @@ struct Avx512Traits {
   static VecD Add(VecD a, VecD b) { return _mm512_add_pd(a, b); }
   static VecD Sub(VecD a, VecD b) { return _mm512_sub_pd(a, b); }
   static VecD Mul(VecD a, VecD b) { return _mm512_mul_pd(a, b); }
-  static VecD MulAdd(VecD a, VecD b, VecD acc) {
-    return _mm512_fmadd_pd(a, b, acc);
-  }
   static void StoreLanes(VecD v, double* out) { _mm512_storeu_pd(out, v); }
   static void StoreU(VecD v, double* p) { _mm512_storeu_pd(p, v); }
 
-#if defined(__AVX2__) && defined(__FMA__)
   /// The 8-wide AVX2 block-rotation zipper beats a 16-wide AVX-512 one
   /// on this workload: VPCMPD writes a mask register and competes with
   /// VALIGND for port 5, so the 512-bit variant's 31 port-5 ops per
   /// block throttle below the AVX2 version's port-spread integer
   /// compares (measured ~1.7x slower in bench_perf_kernels). -mavx512f
-  /// implies AVX2+FMA, so the delegate is always compiled here; the
-  /// 16-wide fallback below exists only for exotic toolchains that
-  /// enable AVX512F alone.
+  /// implies AVX2, so Avx2Traits is always compiled alongside.
   static std::size_t CountCommonSorted(const std::uint32_t* a, std::size_t na,
                                        const std::uint32_t* b,
                                        std::size_t nb) {
     return Avx2Traits::CountCommonSorted(a, na, b, nb);
   }
-#else
-  /// Rotation by valignd with an immediate: vb concatenated with itself,
-  /// shifted right by R+1 lanes — a cyclic rotation without an index
-  /// register, and every rotation reads the ORIGINAL vb (independent
-  /// instructions, no serial permute latency chain). The maskz form with
-  /// an all-ones mask sidesteps the plain intrinsic's undefined source
-  /// register (GCC 12 -Wmaybe-uninitialized, as with the gathers).
-  template <std::size_t... R>
-  static __mmask16 AllRotationsEq(__m512i va, __m512i vb,
-                                  std::index_sequence<R...>) {
-    __mmask16 eq = _mm512_cmpeq_epi32_mask(va, vb);
-    ((eq |= _mm512_cmpeq_epi32_mask(
-          va, _mm512_maskz_alignr_epi32(static_cast<__mmask16>(0xffff), vb,
-                                        vb, static_cast<int>(R) + 1))),
-     ...);
-    return eq;
-  }
-
-  /// Block-rotation zipper over 16-wide blocks (see the AVX2 variant for
-  /// the algorithm and its correctness argument).
-  static std::size_t CountCommonSorted(const std::uint32_t* a, std::size_t na,
-                                       const std::uint32_t* b,
-                                       std::size_t nb) {
-    std::size_t count = 0;
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i + 16 <= na && j + 16 <= nb) {
-      const __m512i va =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a + i));
-      const __m512i vb =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(b + j));
-      count += static_cast<std::size_t>(__builtin_popcount(
-          AllRotationsEq(va, vb, std::make_index_sequence<15>{})));
-      const std::uint32_t a_max = a[i + 15];
-      const std::uint32_t b_max = b[j + 15];
-      if (a_max <= b_max) i += 16;
-      if (b_max <= a_max) j += 16;
-    }
-    count += ScalarTraits::CountCommonSorted(a + i, na - i, b + j, nb - j);
-    return count;
-  }
-#endif  // __AVX2__ && __FMA__
 };
 #endif  // __AVX512F__
 

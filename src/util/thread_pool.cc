@@ -34,17 +34,12 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_available_.NotifyOne();
 }
 
-void ThreadPool::WaitIdle() {
-  MutexLock lock(&mu_);
-  while (!(queue_.empty() && active_ == 0)) all_idle_.Wait(mu_);
-}
-
 namespace {
 
-// The one chunk-partition definition shared by the pooled and serial
-// drivers: clamps the requested chunk count, sizes chunks evenly, and
-// re-derives the count so no trailing chunk is empty (e.g. count=5,
-// num_chunks=4 gives chunk_size=2 and only 3 nonempty chunks).
+// The one chunk-partition definition: clamps the requested chunk count,
+// sizes chunks evenly, and re-derives the count so no trailing chunk is
+// empty (e.g. count=5, num_chunks=4 gives chunk_size=2 and only 3
+// nonempty chunks).
 struct ChunkPartition {
   size_t chunk_size = 0;
   size_t num_chunks = 0;
@@ -61,16 +56,12 @@ ChunkPartition MakePartition(size_t count, size_t requested_chunks) {
 
 }  // namespace
 
-void ThreadPool::SerialForChunked(
-    size_t count, size_t num_chunks,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (count == 0) return;
-  ChunkPartition partition = MakePartition(count, num_chunks);
-  for (size_t chunk = 0; chunk < partition.num_chunks; ++chunk) {
-    size_t begin = chunk * partition.chunk_size;
-    size_t end = std::min(begin + partition.chunk_size, count);
-    fn(chunk, begin, end);
+size_t ThreadPool::Participants(size_t max_participants) const {
+  size_t participants = threads_.size() + 1;
+  if (max_participants > 0) {
+    participants = std::min(participants, max_participants);
   }
+  return participants;
 }
 
 bool ThreadPool::RunOneChunk(Batch& batch) {
@@ -92,6 +83,19 @@ void ThreadPool::ParallelForChunked(
     size_t max_participants) {
   if (count == 0) return;
   ChunkPartition partition = MakePartition(count, num_chunks);
+  // The submitting thread is a participant too, so a batch of N chunks
+  // admits at most N-1 helpers, and a cap of N at most N-1.
+  size_t helpers =
+      std::min(partition.num_chunks, Participants(max_participants)) - 1;
+  if (helpers == 0) {
+    // One chunk, or a cap of one: the caller runs the batch alone, in
+    // chunk order, with no batch state and no queue traffic.
+    for (size_t chunk = 0; chunk < partition.num_chunks; ++chunk) {
+      size_t begin = chunk * partition.chunk_size;
+      fn(chunk, begin, std::min(begin + partition.chunk_size, count));
+    }
+    return;
+  }
 
   auto batch = std::make_shared<Batch>();
   batch->fn = &fn;  // outlives the batch: we block below until done
@@ -99,15 +103,8 @@ void ThreadPool::ParallelForChunked(
   batch->chunk_size = partition.chunk_size;
   batch->num_chunks = partition.num_chunks;
 
-  // One helper task per worker that could usefully participate; each runs
-  // chunks until the batch is drained. A helper that gets popped after the
-  // last chunk was claimed exits immediately. The submitting thread is a
-  // participant too, so a cap of N admits at most N-1 helpers (cap 1 runs
-  // the whole batch on the caller).
-  size_t helpers = std::min(partition.num_chunks, threads_.size());
-  if (max_participants > 0) {
-    helpers = std::min(helpers, max_participants - 1);
-  }
+  // Each helper runs chunks until the batch is drained; one popped after
+  // the last chunk was claimed exits immediately.
   for (size_t i = 0; i < helpers; ++i) {
     Submit([batch] {
       while (RunOneChunk(*batch)) {
@@ -133,9 +130,8 @@ void ThreadPool::ParallelFor(size_t count,
   // Chunk by the number of threads that can actually participate (the
   // caller counts as one), so a capped batch on a wide shared pool does
   // not pay per-chunk dispatch for parallelism it is not allowed to use.
-  size_t width = threads_.size() + 1;
-  if (max_participants > 0) width = std::min(width, max_participants);
-  ParallelForChunked(count, width * 4, chunk_fn, max_participants);
+  ParallelForChunked(count, Participants(max_participants) * 4, chunk_fn,
+                     max_participants);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -147,14 +143,8 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop();
-      ++active_;
     }
     task();
-    {
-      MutexLock lock(&mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) all_idle_.NotifyAll();
-    }
   }
 }
 

@@ -1,5 +1,6 @@
 // Fixed-size worker pool used to parallelize per-node similarity updates in
-// the SimRank engines. Deliberately minimal: submit closures, wait for all.
+// the SimRank engines. Deliberately minimal: submit closures, or run a
+// chunked loop and wait for its chunks.
 #ifndef SIMRANKPP_UTIL_THREAD_POOL_H_
 #define SIMRANKPP_UTIL_THREAD_POOL_H_
 
@@ -35,6 +36,7 @@ class ThreadPool {
  public:
   /// \param num_threads 0 selects std::thread::hardware_concurrency().
   explicit ThreadPool(size_t num_threads = 0);
+  /// \brief Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,15 +44,6 @@ class ThreadPool {
 
   /// \brief Enqueues a task.
   void Submit(std::function<void()> task);
-
-  /// \brief Blocks until the queue is empty and all workers are idle.
-  ///
-  /// Global-quiescence barrier for `Submit`-style use from a single
-  /// coordinating thread. Must not be called from inside a pool task, and
-  /// says nothing about which batch finished when several threads submit
-  /// concurrently — the ParallelFor family with its per-batch latch is the
-  /// right tool there.
-  void WaitIdle();
 
   /// \brief Partitions [0, count) into roughly even chunks and runs
   /// `fn(begin, end)` on the pool, blocking until all chunks finish.
@@ -70,22 +63,19 @@ class ThreadPool {
   /// on (count, num_chunks) — never on the pool size or on
   /// `max_participants` — callers can shard work into per-chunk buffers
   /// and merge them in chunk order for results that are identical for any
-  /// thread count.
+  /// thread count. With one chunk, or with `max_participants` 1, every
+  /// chunk runs on the caller in chunk order and nothing is submitted.
   void ParallelForChunked(
       size_t count, size_t num_chunks,
       const std::function<void(size_t, size_t, size_t)>& fn,
       size_t max_participants = 0);
 
-  /// \brief Runs the exact chunk partition of ParallelForChunked serially
-  /// on the calling thread, no pool involved. Single-threaded code paths
-  /// that must match a pooled ParallelForChunked bit-for-bit (the sparse
-  /// engine's sharded reduction) use this so both paths share one
-  /// partition definition.
-  static void SerialForChunked(
-      size_t count, size_t num_chunks,
-      const std::function<void(size_t, size_t, size_t)>& fn);
-
   size_t num_threads() const { return threads_.size(); }
+
+  /// \brief How many threads can work on one batch capped at
+  /// `max_participants` (0 = no cap): the caller plus at most every
+  /// worker, never more than the cap.
+  size_t Participants(size_t max_participants) const;
 
  private:
   // One ParallelFor* call: chunks are claimed via `next`, completion is
@@ -114,19 +104,17 @@ class ThreadPool {
   Mutex mu_;
   std::queue<std::function<void()>> queue_ SRPP_GUARDED_BY(mu_);
   CondVar task_available_;
-  CondVar all_idle_;
-  size_t active_ SRPP_GUARDED_BY(mu_) = 0;
   bool shutdown_ SRPP_GUARDED_BY(mu_) = false;
 };
 
 /// \brief The process-wide shared pool, sized to hardware concurrency and
 /// constructed on first use. Engines and the serving layer borrow this
 /// pool (with a `max_participants` cap where a caller was asked for a
-/// specific `num_threads`) instead of constructing one per Run, so a
-/// service computing several engines and answering batched lookups at the
-/// same time keeps one fixed set of worker threads. Safe to use from any
-/// thread; the per-batch latches in ParallelFor* keep concurrent callers
-/// from observing each other.
+/// specific `num_threads`; a cap of 1 runs on the caller alone) instead
+/// of constructing one per Run, so a service computing several engines
+/// and answering batched lookups at the same time keeps one fixed set of
+/// worker threads. Safe to use from any thread; the per-batch latches in
+/// ParallelFor* keep concurrent callers from observing each other.
 ThreadPool& SharedThreadPool();
 
 }  // namespace simrankpp

@@ -2,6 +2,7 @@
 // file descriptors the listener is paused instead of spun on, the failure
 // is counted in srpp_accept_errors_total{reason="fd_limit"}, and the
 // clients queued in the kernel backlog are served once descriptors free.
+// The metrics HTTP listener waits out the limit the same way.
 //
 // Each case lowers this process's own RLIMIT_NOFILE, so the suite is
 // registered per case (gtest_discover_tests): every case runs in a
@@ -96,6 +97,7 @@ class ServeDaemonLimitsTest : public ::testing::Test {
     DaemonOptions options;
     options.manifest_path = manifest_path_;
     options.enable_watcher = false;
+    options.metrics_port = 0;  // idle unless a case scrapes it
     Result<std::unique_ptr<ServeDaemon>> daemon = ServeDaemon::Start(options);
     ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
     daemon_ = std::move(daemon).value();
@@ -112,15 +114,31 @@ class ServeDaemonLimitsTest : public ::testing::Test {
     std::remove(manifest_path_.c_str());
   }
 
+  // A TCP socket whose reads give up after 10 s: a reply that never
+  // comes fails the case instead of hanging it.
+  static int ClientSocket() {
+    int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    timeval timeout{10, 0};
+    if (fd >= 0) {
+      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    }
+    return fd;
+  }
+
+  static int ConnectLocal(int fd, uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    return connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  }
+
   // Opens kClients sockets, lowers the soft descriptor limit so the
   // daemon can accept only kAccepted more, then connects every socket.
   void ConnectPastTheFdLimit() {
     for (int i = 0; i < kClients; ++i) {
-      int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      int fd = ClientSocket();
       ASSERT_GE(fd, 0);
-      // A reply that never comes fails the case instead of hanging it.
-      timeval timeout{10, 0};
-      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
       clients_.push_back(fd);
     }
     // socket() takes the lowest free number, so every descriptor below
@@ -128,14 +146,31 @@ class ServeDaemonLimitsTest : public ::testing::Test {
     rlimit lowered = saved_limit_;
     lowered.rlim_cur = static_cast<rlim_t>(clients_.back() + 1 + kAccepted);
     ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(daemon_->port());
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     for (int fd : clients_) {
-      ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-                0);
+      ASSERT_EQ(ConnectLocal(fd, daemon_->port()), 0);
     }
+  }
+
+  // Waits until the daemon's listener has failed an accept at the limit.
+  void AwaitFdLimit() {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (FdLimitErrors() < 1.0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GE(FdLimitErrors(), 1.0);
+  }
+
+  // Process CPU seconds over one second of wall time, as a fraction.
+  static double CpuShareOverOneSecond() {
+    auto wall_start = std::chrono::steady_clock::now();
+    double cpu_start = ProcessCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    double cpu_seconds = ProcessCpuSeconds() - cpu_start;
+    double wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wall_start)
+                              .count();
+    return cpu_seconds / wall_seconds;
   }
 
   double FdLimitErrors() const {
@@ -158,24 +193,13 @@ TEST_F(ServeDaemonLimitsTest, FdExhaustionPausesAcceptInsteadOfSpinning) {
   // Let the daemon reach the limit, then watch one second: the queued
   // clients must not keep the IO thread busy.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  auto wall_start = std::chrono::steady_clock::now();
-  double cpu_start = ProcessCpuSeconds();
-  std::this_thread::sleep_for(std::chrono::seconds(1));
-  double cpu_seconds = ProcessCpuSeconds() - cpu_start;
-  double wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-  EXPECT_LT(cpu_seconds, 0.1 * wall_seconds);
+  EXPECT_LT(CpuShareOverOneSecond(), 0.1);
   EXPECT_GE(FdLimitErrors(), 1.0);
 }
 
 TEST_F(ServeDaemonLimitsTest, QueuedClientsAreServedOnceFdsFree) {
   ASSERT_NO_FATAL_FAILURE(ConnectPastTheFdLimit());
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (FdLimitErrors() < 1.0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_GE(FdLimitErrors(), 1.0);
+  ASSERT_NO_FATAL_FAILURE(AwaitFdLimit());
   // A closed connection frees descriptors while the limit is still low:
   // the first queued client (the backlog is FIFO) is accepted and served.
   close(clients_[0]);
@@ -190,6 +214,35 @@ TEST_F(ServeDaemonLimitsTest, QueuedClientsAreServedOnceFdsFree) {
                              static_cast<uint32_t>(i + 1)))
         << "client " << i;
   }
+}
+
+TEST_F(ServeDaemonLimitsTest, MetricsScrapeAtTheFdLimitWaitsWithoutSpinning) {
+  // Opened before the limit drops: at the limit this process could not
+  // create it.
+  int scrape = ClientSocket();
+  ASSERT_GE(scrape, 0);
+  ASSERT_NO_FATAL_FAILURE(ConnectPastTheFdLimit());
+  clients_.push_back(scrape);
+  ASSERT_NO_FATAL_FAILURE(AwaitFdLimit());
+  // The scrape queues in the metrics listener's backlog, which keeps the
+  // listener readable while every accept fails.
+  ASSERT_EQ(ConnectLocal(scrape, daemon_->metrics_port()), 0);
+  const std::string request = "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n";
+  ASSERT_EQ(send(scrape, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(CpuShareOverOneSecond(), 0.1);
+  // Once descriptors free, the scrape is answered (and the server closes).
+  RestoreLimit();
+  std::string response;
+  char buffer[4096];
+  for (;;) {
+    ssize_t n = recv(scrape, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    response.append(buffer, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+  EXPECT_NE(response.find("srpp_accept_errors_total"), std::string::npos);
 }
 
 }  // namespace

@@ -215,7 +215,7 @@ class ReferenceLinearized {
   }
 
   // Staggered Jacobi: the ad half-sweep reads the query diagonals just
-  // updated; the dot products run through the non-fast gather kernel.
+  // updated; the dot products run through the dispatched gather kernel.
   void Prepare() {
     size_t nq = graph_.num_queries();
     size_t na = graph_.num_ads();
@@ -228,7 +228,7 @@ class ReferenceLinearized {
     }
     diag_query_.assign(nq, 1.0 - options_.c1);
     diag_ad_.assign(na, 1.0 - options_.c2);
-    const simd::KernelTable& kern = simd::ActiveKernels(false);
+    const simd::KernelTable& kern = simd::ActiveKernels();
     auto sweep_side = [&kern](const std::vector<DiagForm>& forms,
                               const std::vector<double>& d_own,
                               const std::vector<double>& d_opp,

@@ -222,7 +222,9 @@ TEST(RewriteServiceTest, SnapshotRoundTripServesBitIdenticalResults) {
                       .WithPipelineOptions(NoBidPipeline())
                       .Build();
   ASSERT_TRUE(computed.ok());
-  ASSERT_TRUE((*computed)->SaveSnapshot(path).ok());
+  ASSERT_TRUE(SaveSnapshot((*computed)->rewriter().similarities(),
+                           (*computed)->Stats().method_name, path)
+                  .ok());
 
   auto served = RewriteServiceBuilder()
                     .WithGraph(&graph)
@@ -266,7 +268,9 @@ TEST(RewriteServiceTest, SnapshotFromDifferentGraphIsRejected) {
                       .WithEngine("sparse", ServiceEngineOptions())
                       .Build();
   ASSERT_TRUE(computed.ok());
-  ASSERT_TRUE((*computed)->SaveSnapshot(path).ok());
+  ASSERT_TRUE(SaveSnapshot((*computed)->rewriter().similarities(),
+                           (*computed)->Stats().method_name, path)
+                  .ok());
   auto mismatched =
       RewriteServiceBuilder().WithGraph(&graph).WithSnapshot(path).Build();
   ASSERT_FALSE(mismatched.ok());
@@ -318,7 +322,10 @@ TEST(RewriteServiceTest, AdSideSnapshotRoundTripsThroughTheSideTag) {
                       .WithPipelineOptions(NoBidPipeline())
                       .Build();
   ASSERT_TRUE(computed.ok());
-  ASSERT_TRUE((*computed)->SaveSnapshot(path).ok());
+  ASSERT_TRUE(SaveSnapshot((*computed)->rewriter().similarities(),
+                           (*computed)->Stats().method_name, path,
+                           (*computed)->side())
+                  .ok());
 
   // No WithSide on the serving end: the file's tag is authoritative.
   auto served = RewriteServiceBuilder()
@@ -342,128 +349,6 @@ TEST(RewriteServiceTest, AdSideSnapshotRoundTripsThroughTheSideTag) {
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(mismatched.status().message().find("ad-ad"), std::string::npos);
   std::remove(path.c_str());
-}
-
-// ------------------------------------------------- rebuild-from-snapshot
-
-TEST(RewriteServiceTest, RebuildFromSnapshotSwapsScoresKeepingConfig) {
-  BipartiteGraph graph = SeededGraph();
-  std::string path_a = TempPath("service_rebuild_a.snap");
-  std::string path_b = TempPath("service_rebuild_b.snap");
-
-  RewritePipelineOptions pipeline = NoBidPipeline();
-  pipeline.max_rewrites = 3;
-  auto service_a = RewriteServiceBuilder()
-                       .WithGraph(&graph)
-                       .WithEngine("sparse", ServiceEngineOptions())
-                       .WithPipelineOptions(pipeline)
-                       .Build();
-  ASSERT_TRUE(service_a.ok());
-  ASSERT_TRUE((*service_a)->SaveSnapshot(path_a).ok());
-
-  SimRankOptions other = ServiceEngineOptions();
-  other.variant = SimRankVariant::kSimRank;
-  other.iterations = 3;
-  auto service_b = RewriteServiceBuilder()
-                       .WithGraph(&graph)
-                       .WithEngine("sparse", other)
-                       .WithPipelineOptions(pipeline)
-                       .Build();
-  ASSERT_TRUE(service_b.ok());
-  ASSERT_TRUE((*service_b)->SaveSnapshot(path_b).ok());
-
-  // Rebuild a's service onto b's snapshot: scores come from b, pipeline
-  // and graph stay a's.
-  auto rebuilt = (*service_a)->RebuildFromSnapshot(path_b);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  EXPECT_EQ((*rebuilt)->Stats().source, "snapshot");
-  EXPECT_EQ((*rebuilt)->Stats().method_name, "Simrank");
-  EXPECT_EQ((*rebuilt)->rewriter().pipeline_options().max_rewrites, 3u);
-  for (QueryId q = 0; q < graph.num_queries(); q += 11) {
-    EXPECT_EQ((*rebuilt)->TopK(q, 5), (*service_b)->TopK(q, 5))
-        << "query " << q;
-  }
-
-  // A corrupt replacement fails and leaves the original fully usable.
-  auto before = (*service_a)->TopK(QueryId{0}, 3);
-  std::ofstream(path_b, std::ios::binary | std::ios::trunc) << "garbage";
-  auto failed = (*service_a)->RebuildFromSnapshot(path_b);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ((*service_a)->TopK(QueryId{0}, 3), before);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-}
-
-// -------------------------------------------------- open engine registry
-
-// A stub engine defined entirely inside this test binary: registering and
-// serving it requires no edits to any core header (the acceptance
-// criterion for the open registry). It scores every query pair that
-// shares an ad with a constant.
-class StubEngine : public SimRankEngine {
- public:
-  explicit StubEngine(SimRankOptions options) : options_(options) {}
-
-  Status Run(const BipartiteGraph& graph) override {
-    graph_ = &graph;
-    stats_.iterations_run = 1;
-    return Status::OK();
-  }
-  double QueryScore(QueryId q1, QueryId q2) const override {
-    if (q1 == q2) return 1.0;
-    return graph_->CountCommonAds(q1, q2) > 0 ? 0.25 : 0.0;
-  }
-  double AdScore(AdId a1, AdId a2) const override {
-    return a1 == a2 ? 1.0 : 0.0;
-  }
-  SimilarityMatrix ExportQueryScores(double min_score) const override {
-    SimilarityMatrix matrix(graph_->num_queries());
-    for (QueryId a = 0; a < graph_->num_queries(); ++a) {
-      for (QueryId b = a + 1; b < graph_->num_queries(); ++b) {
-        double score = QueryScore(a, b);
-        if (score >= min_score && score != 0.0) matrix.Set(a, b, score);
-      }
-    }
-    matrix.Finalize();
-    return matrix;
-  }
-  SimilarityMatrix ExportAdScores(double) const override {
-    SimilarityMatrix matrix(graph_->num_ads());
-    matrix.Finalize();
-    return matrix;
-  }
-  const SimRankStats& stats() const override { return stats_; }
-  const SimRankOptions& options() const override { return options_; }
-
- private:
-  SimRankOptions options_;
-  SimRankStats stats_;
-  const BipartiteGraph* graph_ = nullptr;
-};
-
-TEST(EngineRegistryIntegrationTest, StubEnginePlugsInWithoutCoreEdits) {
-  static const Status registered = RegisterSimRankEngine(
-      "stub", [](const SimRankOptions& options)
-                  -> Result<std::unique_ptr<SimRankEngine>> {
-        return std::unique_ptr<SimRankEngine>(
-            std::make_unique<StubEngine>(options));
-      });
-  ASSERT_TRUE(registered.ok()) << registered.ToString();
-  EXPECT_TRUE(HasSimRankEngine("stub"));
-
-  BipartiteGraph graph = MakeFigure3Graph();
-  auto service = RewriteServiceBuilder()
-                     .WithGraph(&graph)
-                     .WithEngine("stub", ServiceEngineOptions())
-                     .WithPipelineOptions(NoBidPipeline())
-                     .Build();
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  EXPECT_EQ((*service)->Stats().engine_name, "stub");
-  // "camera" shares hp.com with "pc" and bestbuy.com with "tv" /
-  // "digital camera" — the stub scores all three.
-  auto rewrites = (*service)->TopK("camera", 5);
-  ASSERT_TRUE(rewrites.ok());
-  EXPECT_EQ(rewrites->size(), 3u);
 }
 
 // ------------------------------------------------- on-demand serving

@@ -13,6 +13,7 @@
 #include "core/closed_form.h"
 #include "core/dense_engine.h"
 #include "core/engine_registry.h"
+#include "core/linearized_engine.h"
 #include "core/naive_similarity.h"
 #include "core/sample_graphs.h"
 #include "core/sparse_engine.h"
@@ -387,15 +388,17 @@ TEST(OptionsValidationTest, EveryInvalidRangeGetsADistinctActionableError) {
 
 // ------------------------------------------------------- engine registry
 
-TEST(EngineRegistryTest, BuiltinsAreRegistered) {
-  EXPECT_TRUE(HasSimRankEngine("dense"));
-  EXPECT_TRUE(HasSimRankEngine("sparse"));
-  EXPECT_TRUE(HasSimRankEngine("linearized"));
-  std::vector<std::string> names = RegisteredSimRankEngines();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  EXPECT_NE(std::find(names.begin(), names.end(), "dense"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "sparse"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "linearized"), names.end());
+TEST(EngineRegistryTest, CreatesEveryEngineByName) {
+  auto dense = CreateSimRankEngine("dense", SimRankOptions());
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  EXPECT_NE(dynamic_cast<DenseSimRankEngine*>(dense->get()), nullptr);
+  auto sparse = CreateSimRankEngine("sparse", SimRankOptions());
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  EXPECT_NE(dynamic_cast<SparseSimRankEngine*>(sparse->get()), nullptr);
+  auto linearized = CreateSimRankEngine("linearized", SimRankOptions());
+  ASSERT_TRUE(linearized.ok()) << linearized.status().ToString();
+  EXPECT_NE(dynamic_cast<LinearizedSimRankEngine*>(linearized->get()),
+            nullptr);
 }
 
 TEST(EngineRegistryTest, UnknownNameListsRegisteredEngines) {
@@ -406,18 +409,6 @@ TEST(EngineRegistryTest, UnknownNameListsRegisteredEngines) {
   EXPECT_NE(result.status().message().find("dense"), std::string::npos);
   EXPECT_NE(result.status().message().find("linearized"), std::string::npos);
   EXPECT_NE(result.status().message().find("sparse"), std::string::npos);
-}
-
-TEST(EngineRegistryTest, RejectsDuplicateAndDegenerateRegistrations) {
-  Status duplicate = RegisterSimRankEngine(
-      "dense", [](const SimRankOptions&) -> Result<std::unique_ptr<SimRankEngine>> {
-        return Status::Internal("never called");
-      });
-  EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(RegisterSimRankEngine("", nullptr).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(RegisterSimRankEngine("null-factory", nullptr).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(EngineRegistryTest, PropagatesInvalidOptions) {

@@ -389,7 +389,7 @@ TEST(SparseEquivalenceCapTest, TightPartnerCapStaysBitIdentical) {
 }
 
 // The determinism contract's headline guarantee: the same run exports
-// the same bytes at every SIMD dispatch level (default, non-fast mode).
+// the same bytes at every SIMD dispatch level.
 // Each supported level is forced programmatically and compared against
 // the scalar run; the unsupported ones are skipped (the CI
 // simd-scalar-fallback leg plus vector-capable runners cover all).
@@ -419,38 +419,6 @@ TEST(SimdDispatchEquivalenceTest, ByteIdenticalAcrossDispatchLevels) {
     }
   }
   ASSERT_TRUE(simd::SetSimdLevel(before));
-}
-
-// fast_math opts out of bit-identity (FMA permitted) but must stay
-// within the tolerance documented in docs/SIMD_KERNELS.md. Pruning and
-// the partner cap are disabled so the kept pair set cannot flip on a
-// last-ULP threshold comparison.
-TEST(SimdFastMathTest, WithinDocumentedTolerance) {
-  BipartiteGraph graph = SeededGraph();
-  constexpr double kTolerance = 1e-9;
-  for (SimRankVariant variant :
-       {SimRankVariant::kSimRank, SimRankVariant::kWeighted}) {
-    SimRankOptions options = BaseOptions(variant);
-    options.prune_threshold = 0.0;
-    options.max_partners_per_node = 0;
-    options.iterations = 5;
-    SparseSimRankEngine exact_engine(options);
-    ASSERT_TRUE(exact_engine.Run(graph).ok());
-
-    SimRankOptions fast_options = options;
-    fast_options.fast_math = true;
-    SparseSimRankEngine fast_engine(fast_options);
-    ASSERT_TRUE(fast_engine.Run(graph).ok());
-
-    SimilarityMatrix exact_queries = exact_engine.ExportQueryScores(0.0);
-    ASSERT_GT(exact_queries.num_pairs(), 0u);
-    EXPECT_LE(fast_engine.ExportQueryScores(0.0).MaxAbsDifference(
-                  exact_queries),
-              kTolerance);
-    EXPECT_LE(fast_engine.ExportAdScores(0.0).MaxAbsDifference(
-                  exact_engine.ExportAdScores(0.0)),
-              kTolerance);
-  }
 }
 
 // Zero pruning keeps every reachable pair alive; the candidate-superset

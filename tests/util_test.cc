@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "util/csv_writer.h"
 #include "util/random.h"
@@ -382,12 +383,13 @@ TEST(CsvWriterTest, WriteToFileRoundTrips) {
 // -------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -405,12 +407,6 @@ TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
   bool ran = false;
   pool.ParallelFor(0, [&](size_t, size_t) { ran = true; });
   EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnFreshPoolReturns) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not deadlock
-  SUCCEED();
 }
 
 TEST(ThreadPoolTest, ResolveThreadCount) {
@@ -454,6 +450,23 @@ TEST(ThreadPoolTest, ParallelForChunkedPartitionIgnoresThreadCount) {
   EXPECT_EQ(boundaries(1), boundaries(4));
 }
 
+// A batch with one participant — a single chunk, or a cap of one — runs
+// on the calling thread alone, in chunk order.
+TEST(ThreadPoolTest, LoneParticipantRunsChunksOnCallerInOrder) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  auto record = [&](size_t chunk, size_t, size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(chunk);
+  };
+  pool.ParallelForChunked(100, 7, record, /*max_participants=*/1);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6}));
+  order.clear();
+  pool.ParallelForChunked(100, 1, record);
+  EXPECT_EQ(order, std::vector<size_t>{0});
+}
+
 // Regression: ParallelFor used to block on global pool quiescence, so a
 // nested call from inside a pool task deadlocked (the worker could not
 // drain the queue it was blocked in).
@@ -473,14 +486,15 @@ TEST(ThreadPoolTest, NestedParallelForFromPoolTask) {
 }
 
 TEST(ThreadPoolTest, ParallelForFromSubmittedTask) {
-  ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.Submit([&] {
-    pool.ParallelFor(64, [&](size_t begin, size_t end) {
-      counter.fetch_add(static_cast<int>(end - begin));
+  {
+    ThreadPool pool(2);
+    pool.Submit([&] {
+      pool.ParallelFor(64, [&](size_t begin, size_t end) {
+        counter.fetch_add(static_cast<int>(end - begin));
+      });
     });
-  });
-  pool.WaitIdle();
+  }  // the destructor runs the submitted task before joining
   EXPECT_EQ(counter.load(), 64);
 }
 

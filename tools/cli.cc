@@ -95,8 +95,7 @@ int Usage() {
       "            [--slow-request-ms X]\n"
       "  simrankpp extract <graph.tsv> [--subgraphs N] [--out-prefix P]\n"
       "methods: simrank | evidence | weighted (default) | pearson\n"
-      "engines: any registered name (dense | sparse (default) | linearized"
-      " | ...)\n");
+      "engines: dense | sparse (default) | linearized\n");
   return 2;
 }
 
